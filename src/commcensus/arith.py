@@ -24,9 +24,11 @@ __all__ = [
     "factorize",
     "squarefree_part",
     "kronecker",
+    "character_table",
     "cf_sqrt",
     "pell_fundamental",
     "primes_in_range",
+    "prime_segments",
     "sieve_segment",
     "is_square",
 ]
@@ -243,6 +245,18 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
+def character_table(disc: int) -> np.ndarray:
+    """The quadratic character of a positive discriminant as an int8 table.
+
+    Entry r is the Kronecker symbol (disc|r) for r = 0, ..., disc - 1. The
+    character is periodic mod disc, so (disc|n) = table[n % disc] for every
+    n >= 0: one table serves a whole array of primes by fancy indexing.
+    """
+    if disc < 1 or disc % 4 not in (0, 1):
+        raise DomainError(f"{disc} is not a positive discriminant")
+    return np.array([kronecker(disc, r) for r in range(disc)], dtype=np.int8)
+
+
 def cf_sqrt(d: int) -> tuple[int, list[int]]:
     """Continued fraction of sqrt(d) for non-square d > 1.
 
@@ -321,22 +335,32 @@ def sieve_segment(lo: int, hi: int, base: np.ndarray | None = None) -> np.ndarra
     return (np.nonzero(mask)[0] + lo).astype(np.int64)
 
 
-def primes_in_range(lo: int, hi: int, segment_size: int = 1 << 19) -> Iterator[int]:
-    """Yield every prime p with lo <= p <= hi, in increasing order.
+def prime_segments(lo: int, hi: int, segment_size: int = 1 << 19) -> Iterator[np.ndarray]:
+    """Yield the primes in [lo, hi] as ascending numpy blocks, one per segment.
 
-    Segmented sieve: memory stays O(sqrt(hi) + segment_size) no matter how
-    wide the range is. Bounds are validated eagerly, before iteration.
+    Segmented sieve: the base primes up to sqrt(hi) are sieved once, and
+    memory stays O(sqrt(hi) + segment_size) no matter how wide the range
+    is. Bounds are validated eagerly, before iteration.
     """
     if lo < 2 or hi < lo:
         raise DomainError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
 
-    def gen() -> Iterator[int]:
+    def gen() -> Iterator[np.ndarray]:
         base = _small_sieve(math.isqrt(hi) + 1)
         start = lo
         while start <= hi:
             end = min(start + segment_size - 1, hi)
-            for p in sieve_segment(start, end, base):
-                yield int(p)
+            yield sieve_segment(start, end, base)
             start = end + 1
 
     return gen()
+
+
+def primes_in_range(lo: int, hi: int, segment_size: int = 1 << 19) -> Iterator[int]:
+    """Yield every prime p with lo <= p <= hi, in increasing order.
+
+    The same segmented sieve as prime_segments, one Python int at a time.
+    Bounds are validated eagerly, before iteration.
+    """
+    segments = prime_segments(lo, hi, segment_size)
+    return (int(p) for block in segments for p in block)

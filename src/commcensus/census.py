@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import concurrent.futures
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gf2
-from .arith import factorize, is_square, kronecker, primes_in_range, sieve_segment
+from .arith import character_table, factorize, is_square, kronecker
+from .arith import prime_segments, primes_in_range, sieve_segment
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
 from .quaternion import AlgebraClass, RamSet, algebra_class
@@ -132,7 +134,10 @@ def nonsplit_primes(fields) -> tuple[int, ...]:
     verdict. Rejects field systems with an infinite nonsplit set.
     """
     fields = _check_fields(fields)
-    verdict = nonsplit_is_finite(fields)
+    return _nonsplit_primes(fields, nonsplit_is_finite(fields))
+
+
+def _nonsplit_primes(fields, verdict: FinitenessVerdict) -> tuple[int, ...]:
     if not verdict.finite:
         raise InfiniteCensusError(
             "infinitely many primes are nonsplit in every field", verdict
@@ -161,13 +166,6 @@ class CensusReport:
     eventual_pi: int
 
 
-def _even_subsets(primes: tuple[int, ...]):
-    n = len(primes)
-    for mask in range(1 << n):
-        if mask.bit_count() % 2 == 0:
-            yield tuple(primes[i] for i in range(n) if mask >> i & 1)
-
-
 def count_algebras(fields) -> CensusReport:
     """All commensurability classes admitting every field, with coareas.
 
@@ -177,15 +175,10 @@ def count_algebras(fields) -> CensusReport:
     """
     fields = _check_fields(fields)
     verdict = nonsplit_is_finite(fields)
-    if not verdict.finite:
-        raise InfiniteCensusError(
-            "infinitely many primes are nonsplit in every field", verdict
-        )
-    s0 = nonsplit_primes(fields)
-    classes = sorted(
-        (algebra_class(RamSet(sub)) for sub in _even_subsets(s0)),
-        key=lambda c: (c.coarea.coef, c.ram.finite_primes),
-    )
+    s0 = _nonsplit_primes(fields, verdict)
+    fac = [p - 1 for p in s0]
+    found = sorted(_even_ram_sets(fac, math.prod(fac)))
+    classes = [algebra_class(RamSet(primes)) for _, primes in found]
     expected = 2 ** (len(s0) - 1) if s0 else 1
     if len(classes) != expected:
         raise RuntimeError("even-subset count mismatch")
@@ -200,56 +193,96 @@ def count_algebras(fields) -> CensusReport:
     )
 
 
-def _nonsplit_pool(fields, pmax: int) -> list[int]:
-    """Primes p <= pmax splitting in none of the fields, ascending."""
-    pool = []
-    for p in primes_in_range(2, pmax):
-        if all(splitting(fld, p) is not SplitType.SPLIT for fld in fields):
-            pool.append(p)
-    return pool
+def _characters(fields) -> list[tuple[int, np.ndarray | None]]:
+    """(disc, character table) per field; no table for a disc past 2**20."""
+    return [(f.disc, character_table(f.disc) if f.disc <= 1 << 20 else None) for f in fields]
 
 
-def _count_even_ram_sets(pool: list[int], bound_prod: float, collect: bool):
-    """Count (and optionally list) even subsets R of pool with prod(p-1) < bound.
+def _characters_below(ps: np.ndarray, chars, bound: int) -> np.ndarray:
+    """Mask of the primes in ps at which every field's character is below bound.
 
-    Factors are ascending, so a branch dies as soon as one extension hits
-    the bound. The factor 1 contributed by p = 2 is harmless: it can never
-    trip the cutoff before its parent did.
+    bound 1 keeps the primes split in no field, bound 0 the primes inert in all.
     """
-    fac = [p - 1 for p in pool]
-    n = len(pool)
-    chosen: list[int] = []
-    found: list[tuple[int, tuple[int, ...]]] = []
-    count = 0
-
-    def rec(start: int, prod: int, even: bool):
-        nonlocal count
-        if even and prod < bound_prod:
-            count += 1
-            if collect:
-                found.append((prod, tuple(chosen)))
-        for j in range(start, n):
-            nxt = prod * fac[j]
-            if nxt >= bound_prod:
-                break
-            chosen.append(pool[j])
-            rec(j + 1, nxt, not even)
-            chosen.pop()
-
-    rec(0, 1, True)
-    return count, found
+    keep = np.ones(len(ps), dtype=bool)
+    for disc, table in chars:
+        if table is None:
+            vals = np.fromiter((kronecker(disc, int(p)) for p in ps), np.int8, len(ps))
+        else:
+            vals = table[ps % disc]
+        keep &= vals < bound
+    return keep
 
 
-def _pi_count(fields, volume: float, collect: bool):
+def _nonsplit_pool(fields, pmax: int) -> np.ndarray:
+    """Primes p <= pmax splitting in none of the fields, ascending."""
+    chars = _characters(fields)
+    return np.concatenate(
+        [ps[_characters_below(ps, chars, 1)] for ps in prime_segments(2, pmax)]
+    )
+
+
+def _cutoff(volume: float) -> int:
+    """Largest integer N < 3V/pi: coarea pi/3 * prod(p - 1) < V iff prod(p - 1) <= N."""
+    return math.ceil(3.0 * volume / math.pi) - 1
+
+
+def _ram_factors(fields, top: int) -> list[int]:
+    """Ascending factors p - 1 of the primes a class within cutoff top may ramify at."""
     verdict = nonsplit_is_finite(fields)
-    bound_prod = 3.0 * volume / math.pi
     if verdict.finite:
-        pool = list(nonsplit_primes(fields))
-    else:
-        pmax = int(bound_prod) + 1
-        pool = _nonsplit_pool(fields, max(pmax, 2))
-    pool = [p for p in pool if p - 1 < bound_prod]
-    return _count_even_ram_sets(pool, bound_prod, collect)
+        return [p - 1 for p in _nonsplit_primes(fields, verdict)]
+    return (_nonsplit_pool(fields, max(top + 1, 2)) - 1).tolist()
+
+
+def _odd_nodes(fac: list[int], top: int):
+    """Odd-size sets S of factors with an even child S + {j} within the cutoff.
+
+    Yields (start, prod(S), indices of S); the children are the j >= start
+    with fac[j] <= top // prod(S). Walks an explicit stack of even sets (a
+    recursive closure would leave reference cycles behind), stacking one
+    only if some odd child of it has an even child in turn.
+    """
+    n = len(fac)
+    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 1, ())]
+    while stack:
+        start, prod, even = stack.pop()
+        for k in range(start, n - 1):
+            odd = prod * fac[k]
+            if odd * fac[k + 1] > top:
+                break
+            chosen = even + (k,)
+            yield k + 1, odd, chosen
+            for j in range(k + 1, n - 2):
+                nxt = odd * fac[j]
+                if nxt * fac[j + 1] * fac[j + 2] > top:
+                    break
+                stack.append((j + 1, nxt, chosen + (j,)))
+
+
+def _count_even_ram_sets(fac: list[int], cutoffs: list[int]) -> list[int]:
+    """Number of even subsets R of the factors with prod(R) <= N, per cutoff N.
+
+    The integer cutoffs ascend and share one traversal. The last level is
+    never visited: an odd set's even children within N are counted at once
+    by bisection, as in Deleglise-Rivat prime counting. The empty set counts
+    for every N >= 1.
+    """
+    counts = [int(c >= 1) for c in cutoffs]
+    for start, prod, _ in _odd_nodes(fac, cutoffs[-1]):
+        for i, c in enumerate(cutoffs):
+            counts[i] += bisect_right(fac, c // prod, start) - start
+    return counts
+
+
+def _even_ram_sets(fac: list[int], top: int) -> list[tuple[int, tuple[int, ...]]]:
+    """Every even set R of the primes with prod(p - 1) <= top, as (prod, R)."""
+    primes = [f + 1 for f in fac]
+    found = [(1, ())] if top >= 1 else []
+    for start, prod, chosen in _odd_nodes(fac, top):
+        head = tuple(primes[i] for i in chosen)
+        for j in range(start, bisect_right(fac, top // prod, start)):
+            found.append((prod * fac[j], head + (primes[j],)))
+    return found
 
 
 def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]:
@@ -262,10 +295,10 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]
     if not volume > 0:
         raise DomainError(f"volume bound must be positive, got {volume}")
     fields = _check_fields(spec.fields())
-    count, found = _pi_count(fields, volume, collect=True)
-    found.sort()
+    top = _cutoff(volume)
+    found = sorted(_even_ram_sets(_ram_factors(fields, top), top))
     classes = [algebra_class(RamSet(primes)) for _, primes in found]
-    return count, classes
+    return len(classes), classes
 
 
 @dataclass(frozen=True)
@@ -289,6 +322,9 @@ def short_interval_delta(spec: SpectrumSpec, volume: float, window: float) -> In
     """Census growth pi(V+W) - pi(V) against the density floor W/(2**r * ln V).
 
     r is the number of prescribed geodesic classes. Requires 0 < W < V.
+    Counts without enumerating: one finiteness verdict, one prime pool up
+    to the V + W cutoff, and one traversal that counts both exact integer
+    cutoffs, each odd-size set's even children counted in bulk.
     """
     if not volume > 0 or not window > 0:
         raise DomainError("need positive volume and window")
@@ -296,8 +332,8 @@ def short_interval_delta(spec: SpectrumSpec, volume: float, window: float) -> In
         raise DomainError(f"window {window} must be smaller than volume {volume}")
     fields = _check_fields(spec.fields())
     r = len(spec.classes)
-    c_hi, _ = _pi_count(fields, volume + window, collect=False)
-    c_lo, _ = _pi_count(fields, volume, collect=False)
+    cutoffs = [_cutoff(volume), _cutoff(volume + window)]
+    c_lo, c_hi = _count_even_ram_sets(_ram_factors(fields, cutoffs[-1]), cutoffs)
     bound = window / (2**r * math.log(volume))
     return IntervalReport(
         traces=spec.traces(),
@@ -434,22 +470,9 @@ class ChebotarevReport:
     theta: float
 
 
-def _inert_count_segment(lo: int, hi: int, discs) -> int:
+def _inert_count_segment(lo: int, hi: int, chars) -> int:
     """Primes in [lo, hi] inert in all fields (character -1 at every disc)."""
-    ps = sieve_segment(lo, hi)
-    if len(ps) == 0:
-        return 0
-    keep = np.ones(len(ps), dtype=bool)
-    for disc, table in discs:
-        if table is not None:
-            keep &= table[ps % disc] == -1
-        else:
-            # disc too large to tabulate; evaluate the character directly
-            vals = np.fromiter(
-                (kronecker(disc, int(p)) for p in ps), dtype=np.int8, count=len(ps)
-            )
-            keep &= vals == -1
-    return int(np.count_nonzero(keep))
+    return int(np.count_nonzero(_characters_below(sieve_segment(lo, hi), chars, 0)))
 
 
 def verify_chebotarev_interval(
@@ -477,15 +500,7 @@ def verify_chebotarev_interval(
         raise DomainError(
             "discriminant characters are dependent; the inert density is not 1/2**s"
         )
-    discs = []
-    for fld in fields:
-        if fld.disc <= 1 << 20:
-            table = np.array(
-                [kronecker(fld.disc, r) for r in range(fld.disc)], dtype=np.int8
-            )
-        else:
-            table = None
-        discs.append((fld.disc, table))
+    chars = _characters(fields)
     seg = 1 << 18
     segments = []
     lo = x
@@ -495,10 +510,10 @@ def verify_chebotarev_interval(
     if workers and workers > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
             counts = list(
-                pool.map(lambda s: _inert_count_segment(s[0], s[1], discs), segments)
+                pool.map(lambda s: _inert_count_segment(s[0], s[1], chars), segments)
             )
     else:
-        counts = [_inert_count_segment(a, b, discs) for a, b in segments]
+        counts = [_inert_count_segment(a, b, chars) for a, b in segments]
     actual = sum(counts)
     s = len(fields)
     predicted = y / (2**s * math.log(x))

@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .arith import factorize, is_prime, kronecker, squarefree_part
+from .arith import character_table, factorize, is_prime, kronecker, squarefree_part
 from .errors import DomainError
 from .quadratic import QuadField, SplitType, splitting
 
@@ -233,7 +233,7 @@ def zeta_k2_real_quadratic(D: int) -> float:
     Accurate to well below 1e-10.
     """
     _check_fundamental_disc(D)
-    chi = np.array([kronecker(D, r) for r in range(1, D + 1)], dtype=np.float64)
+    chi = character_table(D)[np.arange(1, D + 1) % D].astype(np.float64)  # chi(D) = chi(0)
     hz = _hurwitz_zeta(2.0, np.arange(1, D + 1, dtype=np.float64) / D)
     l_value = float(np.dot(chi, hz)) / D**2
     return (math.pi**2 / 6.0) * l_value

@@ -4,17 +4,20 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 import oracles
 from commcensus.arith import (
     PellSolution,
     cf_sqrt,
+    character_table,
     factorize,
     is_prime,
     is_square,
     kronecker,
     pell_fundamental,
+    prime_segments,
     primes_in_range,
     sieve_segment,
     squarefree_part,
@@ -117,6 +120,17 @@ def test_kronecker_conventions():
     assert all(kronecker(a, 1) == 1 for a in range(-5, 6))
 
 
+def test_character_table_matches_prime_disc_oracle():
+    """The table agrees with the product of prime-discriminant characters."""
+    for disc in (1, 5, 8, 12, 13, 21, 24, 40, 60, 105, 1001, 4 * 1155):
+        table = character_table(disc)
+        assert table.dtype == np.int8 and len(table) == disc
+        assert table.tolist() == oracles.chi_table(disc).tolist(), disc
+    for bad in (0, -4, 6, 7):
+        with pytest.raises(DomainError):
+            character_table(bad)
+
+
 def test_cf_sqrt_examples():
     assert cf_sqrt(2) == (1, [2])
     assert cf_sqrt(3) == (1, [1, 2])
@@ -194,6 +208,9 @@ def test_sieve_segment_matches_unsegmented():
     for lo in range(2, 10**5 + 1, 1000):
         pieces.extend(int(p) for p in sieve_segment(lo, min(lo + 999, 10**5)))
     assert pieces == whole
+    blocks = list(prime_segments(2, 10**5, segment_size=1000))
+    assert len(blocks) == 100
+    assert [int(p) for block in blocks for p in block] == whole
 
 
 def test_is_square():

@@ -1,12 +1,16 @@
 """Census of commensurability classes: finiteness, counting, growth, family."""
 from __future__ import annotations
 
+import gc
+import itertools
 import math
 import random
+import time
 
 import pytest
 
 import oracles
+from commcensus import census
 from commcensus.arith import is_square, kronecker
 from commcensus.census import (
     InfiniteCensusError,
@@ -189,7 +193,8 @@ def test_pi_of_v_monotone_and_saturates():
 def test_pi_of_v_infinite_spec_brute_subsets():
     """Single trace-4 class: even subsets of nonsplit primes below the cut."""
     spec = spectrum_from_inputs(traces=[4])
-    for volume in (5.0, 20.0, 60.0):
+    # below pi/3 not even the matrix algebra fits; just above it, only it does
+    for volume in (1.0, 1.05, 5.0, 20.0, 60.0):
         bound = 3.0 * volume / math.pi
         pool = [
             p
@@ -211,6 +216,75 @@ def test_short_interval_consistency():
     assert rep.count_at_v_plus_w == pi_of_V(spec, 10**4 + 10**3)[0]
     assert abs(rep.bound - 10**3 / (2 * math.log(10**4))) < 1e-12
     assert rep.delta >= 0
+
+
+def test_short_interval_finite_triple_matches_pi():
+    spec = spectrum_from_inputs(radicands=[3, 17, 51])
+    for volume, window in ((0.5, 0.4), (5.0, 4.0), (20.0, 15.0), (33.0, 1.0), (40.0, 30.0)):
+        rep = short_interval_delta(spec, volume, window)
+        assert rep.count_at_v == pi_of_V(spec, volume)[0]
+        assert rep.count_at_v_plus_w == pi_of_V(spec, volume + window)[0]
+
+
+def test_even_ram_set_counter_against_brute_force():
+    """Bulk-counted traversal and enumeration vs plain subset enumeration.
+
+    Cutoffs sit on an achievable even-subset product and one either side of
+    it, plus 0 and 1; half the pools contain p = 2, whose factor is 1.
+    """
+    rng = random.Random(508)
+    primes = oracles.trial_primes(2, 200)
+    for _ in range(40):
+        pool = set(rng.sample(primes, rng.randint(0, 10)))
+        if rng.random() < 0.5:
+            pool.add(2)
+        pool = sorted(pool)
+        fac = [p - 1 for p in pool]
+        hit = math.prod(rng.sample(fac, 2 * rng.randint(0, len(fac) // 2)))
+        cutoffs = sorted({0, 1, hit - 1, hit, hit + 1, rng.randrange(10**6)})
+        want = [oracles.even_subset_count(fac, c + 1) for c in cutoffs]
+        assert census._count_even_ram_sets(fac, cutoffs) == want, (pool, cutoffs)
+        for c, n in zip(cutoffs, want):
+            brute = sorted(
+                (math.prod(p - 1 for p in sub), sub)
+                for k in range(0, len(pool) + 1, 2)
+                for sub in itertools.combinations(pool, k)
+                if math.prod(p - 1 for p in sub) <= c
+            )
+            assert len(brute) == n
+            assert sorted(census._even_ram_sets(fac, c)) == brute, (pool, c)
+
+
+def test_nonsplit_pool_past_table_bound():
+    """A discriminant above 2**20 takes the per-prime character path."""
+    big = field_from_d(1_000_003)
+    assert big.disc > 1 << 20
+    for fields in ((big,), (field_from_d(3), big)):
+        pool = census._nonsplit_pool(fields, 10**4).tolist()
+        assert pool == oracles.nonsplit_scan([f.disc for f in fields], 10**4)
+
+
+def test_census_leaves_no_reference_cycles():
+    spec = spectrum_from_inputs(traces=[4])
+    gc.collect()
+    gc.disable()
+    try:
+        short_interval_delta(spec, 1e5, 1e4)
+        assert gc.collect() == 0
+        pi_of_V(spec, 1e5)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_short_interval_scale_pin():
+    """Trace 4 at V = 1e7, W = 1e6; counts confirmed by full enumeration."""
+    spec = spectrum_from_inputs(traces=[4])
+    t0 = time.perf_counter()
+    rep = short_interval_delta(spec, 1e7, 1e6)
+    elapsed = time.perf_counter() - t0
+    assert (rep.count_at_v, rep.count_at_v_plus_w) == (1_403_587, 1_539_252)
+    assert elapsed < 2.0, elapsed
 
 
 def test_short_interval_monotone_in_window():
