@@ -16,7 +16,7 @@ two = [field_from_d(3), field_from_d(17)]
 print(f"{'fields':>8} {'X':>9} {'Y':>8} {'actual':>7} {'predicted':>10} {'ratio':>7}")
 for fields, tag in [(one, "sqrt3"), (two, "3,17")]:
     for x, y in [(10**4, 10**3), (10**5, 10**4), (10**6, 10**5)]:
-        r = verify_chebotarev_interval(fields, x, y, workers=4)
+        r = verify_chebotarev_interval(fields, x, y)
         print(
             f"{tag:>8} {x:>9} {y:>8} {r.actual:>7} {r.predicted:>10.1f} {r.ratio:>7.3f}"
         )

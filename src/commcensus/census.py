@@ -10,7 +10,6 @@ the empty one division algebras.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import gf2
 from .arith import character_table, factorize, is_square, kronecker
-from .arith import prime_segments, primes_in_range, sieve_segment
+from .arith import prime_segments, primes_in_range
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
 from .quaternion import AlgebraClass, RamSet, algebra_class
@@ -162,8 +161,16 @@ class CensusReport:
     nonsplit: tuple[int, ...]
     classes: tuple[AlgebraClass, ...]
     count_total: int
-    count_division: int
-    eventual_pi: int
+
+    @property
+    def count_division(self) -> int:
+        """All classes but the matrix algebra (empty ramification set) are division."""
+        return self.count_total - 1
+
+    @property
+    def eventual_pi(self) -> int:
+        """pi(V) for V past every coarea: the whole finite census."""
+        return self.count_total
 
 
 def count_algebras(fields) -> CensusReport:
@@ -188,8 +195,6 @@ def count_algebras(fields) -> CensusReport:
         nonsplit=s0,
         classes=tuple(classes),
         count_total=len(classes),
-        count_division=len(classes) - 1,
-        eventual_pi=len(classes),
     )
 
 
@@ -470,20 +475,11 @@ class ChebotarevReport:
     theta: float
 
 
-def _inert_count_segment(lo: int, hi: int, chars) -> int:
-    """Primes in [lo, hi] inert in all fields (character -1 at every disc)."""
-    return int(np.count_nonzero(_characters_below(sieve_segment(lo, hi), chars, 0)))
-
-
-def verify_chebotarev_interval(
-    fields, x: int, y: int, workers: int | None = None
-) -> ChebotarevReport:
+def verify_chebotarev_interval(fields, x: int, y: int) -> ChebotarevReport:
     """Compare the inert-in-all count on [X, X+Y] with (1/2**s) * Y / ln X.
 
     Requires independent discriminant characters (a dependent or finite
     system has the wrong density and is rejected) and X >= 1000, 0 < Y <= X.
-    The interval is scanned in segments; workers > 1 distributes segments
-    over a thread pool, with per-segment counts summed in any order.
     """
     fields = _check_fields(fields)
     if x < 1000:
@@ -501,20 +497,10 @@ def verify_chebotarev_interval(
             "discriminant characters are dependent; the inert density is not 1/2**s"
         )
     chars = _characters(fields)
-    seg = 1 << 18
-    segments = []
-    lo = x
-    while lo <= x + y:
-        segments.append((lo, min(lo + seg - 1, x + y)))
-        lo += seg
-    if workers and workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            counts = list(
-                pool.map(lambda s: _inert_count_segment(s[0], s[1], chars), segments)
-            )
-    else:
-        counts = [_inert_count_segment(a, b, chars) for a, b in segments]
-    actual = sum(counts)
+    actual = sum(
+        int(np.count_nonzero(_characters_below(ps, chars, 0)))
+        for ps in prime_segments(x, x + y)
+    )
     s = len(fields)
     predicted = y / (2**s * math.log(x))
     theta = 8.0 / 3.0 if s == 1 else 1.0 / 2**s

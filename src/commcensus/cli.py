@@ -169,10 +169,12 @@ def _census_fields(args) -> tuple[tuple[QuadField, ...], dict[str, Any]]:
         return spec.fields(), inputs
     if not inputs["radicands"]:
         raise DomainError("provide --radicands, --traces, or --lengths")
-    seen: dict[QuadField, None] = {}
-    for r in inputs["radicands"]:
-        seen.setdefault(field_from_d(r), None)
-    return tuple(seen), inputs
+    return _radicand_fields(inputs["radicands"]), inputs
+
+
+def _radicand_fields(radicands: list[int]) -> tuple[QuadField, ...]:
+    """Field Q(sqrt(r)) of each radicand, deduplicated, in first-appearance order."""
+    return tuple(dict.fromkeys(field_from_d(r) for r in radicands))
 
 
 def cmd_spectra(args) -> Report:
@@ -282,12 +284,8 @@ def cmd_chebotarev(args) -> Report:
     radicands = _parse_int_list(args.radicands)
     if not radicands:
         raise DomainError("provide --radicands naming the fields")
-    seen: dict[QuadField, None] = {}
-    for r in radicands:
-        seen.setdefault(field_from_d(r), None)
-    fields = tuple(seen)
     inputs = {"radicands": radicands, "X": args.X, "Y": args.Y}
-    rep = verify_chebotarev_interval(fields, args.X, args.Y, workers=args.threads)
+    rep = verify_chebotarev_interval(_radicand_fields(radicands), args.X, args.Y)
     result = {
         "fields": [_field_doc(f) for f in rep.fields],
         "X": rep.x,
@@ -323,12 +321,6 @@ def cmd_selectivity(args) -> Report:
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=os.cpu_count() or 1,
-        help="worker bound for segmented scans",
-    )
 
 
 def _add_spectrum_flags(sub: argparse.ArgumentParser) -> None:

@@ -21,7 +21,6 @@ __all__ = [
     "QuadOrder",
     "field_from_d",
     "splitting",
-    "infinite_place_splits",
     "prime_disc_vector",
     "norm_one_unit",
     "order_from_disc",
@@ -84,11 +83,6 @@ def splitting(field: QuadField, p: int) -> SplitType:
     if s == -1:
         return SplitType.INERT
     return SplitType.RAMIFIED
-
-
-def infinite_place_splits(field: QuadField) -> bool:
-    """The real place of Q splits in every real quadratic field."""
-    return True
 
 
 def prime_disc_vector(field: QuadField) -> frozenset[int]:

@@ -27,7 +27,6 @@ __all__ = [
     "hilbert_local",
     "from_hilbert",
     "admits_embedding",
-    "is_isomorphic",
     "coarea_rational",
     "coarea_general",
     "algebra_class",
@@ -152,11 +151,6 @@ def from_hilbert(a: int, b: int) -> RamSet:
     candidates.update(factorize(b).primes())
     ram = [p for p in sorted(candidates) if hilbert_local(a, b, p) == -1]
     return RamSet(tuple(ram), at_infinity=(a < 0 and b < 0))
-
-
-def is_isomorphic(b1: RamSet, b2: RamSet) -> bool:
-    """Algebras are isomorphic exactly when their ramification sets agree."""
-    return b1 == b2
 
 
 def admits_embedding(b: RamSet, L: QuadField) -> bool:

@@ -42,17 +42,30 @@ def trace_to_length(t: int) -> float:
 def length_to_trace(length: float, tol: float = DEFAULT_TOL) -> int:
     """Integer trace whose geodesic length matches `length` within tol.
 
-    Raises NotRealizableError when 2*cosh(length/2) is not within tol of an
-    integer >= 3; raises DomainError for non-positive lengths, which are not
-    lengths of closed geodesics at all.
+    The band around 2*cosh(length/2) is tol widened by the rounding error
+    the float length itself carries, which cosh magnifies by sinh(length/2).
+    Raises NotRealizableError when the widened band holds no integer >= 3,
+    or when that rounding error alone reaches 1/2, so that the length can no
+    longer pin down an integer; raises DomainError for non-positive lengths,
+    which are not lengths of closed geodesics at all.
     """
     if not length > 0.0:
         raise DomainError(f"geodesic length must be positive, got {length}")
     if not math.isfinite(length):
         raise DomainError(f"geodesic length must be finite, got {length}")
-    t_real = 2.0 * math.cosh(length / 2.0)
+    try:
+        t_real = 2.0 * math.cosh(length / 2.0)
+        slack = 2.0 * math.sinh(length / 2.0) * math.ulp(length) + math.ulp(t_real)
+    except OverflowError:  # cosh(length/2) is past the float range
+        slack = math.inf
+    if slack >= 0.5:
+        raise NotRealizableError(
+            f"length {length!r} is too long to pin down an integer trace: "
+            f"its float rounding moves 2*cosh(l/2) by up to {slack:.3g}",
+            value=length,
+        )
     t = round(t_real)
-    if abs(t_real - t) > tol or t < 3:
+    if abs(t_real - t) > tol + slack or t < 3:
         raise NotRealizableError(
             f"length {length!r} gives 2*cosh(l/2) = {t_real!r}, "
             f"not within {tol} of an integer trace >= 3",

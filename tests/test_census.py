@@ -399,11 +399,16 @@ def test_chebotarev_single_field_metadata():
     assert abs(rep.theta - 8.0 / 3.0) < 1e-15
 
 
-def test_chebotarev_threads_agree():
+def test_chebotarev_recount_across_segments():
+    """[10**6, 2*10**6] spans several prime_segments blocks."""
     fields = (field_from_d(3), field_from_d(17))
-    seq = verify_chebotarev_interval(fields, 10**4, 5000)
-    par = verify_chebotarev_interval(fields, 10**4, 5000, workers=4)
-    assert seq == par
+    rep = verify_chebotarev_interval(fields, 10**6, 10**6)
+    manual = sum(
+        1
+        for p in map(int, oracles.sieve_upto(2 * 10**6))
+        if p >= 10**6 and all(oracles.split_at(f.disc, p) == -1 for f in fields)
+    )
+    assert rep.actual == manual
 
 
 def test_chebotarev_rejections():

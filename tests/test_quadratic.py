@@ -13,7 +13,6 @@ from commcensus.quadratic import (
     QuadOrder,
     SplitType,
     field_from_d,
-    infinite_place_splits,
     norm_one_unit,
     order_from_disc,
     order_from_lambda,
@@ -50,11 +49,6 @@ def test_splitting_trichotomy_and_oracle():
                 want = oracles.split_at(fld.disc, p)
                 got = {SplitType.SPLIT: 1, SplitType.INERT: -1, SplitType.RAMIFIED: 0}[s]
                 assert got == want, (d, p)
-
-
-def test_infinite_place_always_splits():
-    assert infinite_place_splits(field_from_d(3))
-    assert infinite_place_splits(field_from_d(9973))
 
 
 def test_prime_disc_vector_product_is_disc():

@@ -20,7 +20,6 @@ from commcensus.quaternion import (
     coarea_rational,
     from_hilbert,
     hilbert_local,
-    is_isomorphic,
     zeta_k2_real_quadratic,
 )
 
@@ -139,9 +138,10 @@ def test_from_hilbert_even_cardinality_grid():
 
 
 def test_is_isomorphic():
-    assert is_isomorphic(RamSet((17, 3)), RamSet((3, 17)))
-    assert not is_isomorphic(RamSet((3, 17)), RamSet((2, 3)))
-    assert not is_isomorphic(from_hilbert(-1, -1), from_hilbert(-1, -3))
+    # isomorphism classes are ramification sets: RamSet equality, after sort/dedup
+    assert RamSet((17, 3)) == RamSet((3, 17))
+    assert RamSet((3, 17)) != RamSet((2, 3))
+    assert from_hilbert(-1, -1) != from_hilbert(-1, -3)
 
 
 def test_admits_embedding_frozen_examples():

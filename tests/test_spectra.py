@@ -28,8 +28,11 @@ def test_trace_to_length_values():
 
 
 def test_round_trip_up_to_1e4():
-    for t in range(3, 10**4 + 1):
+    for t in [*range(3, 10**4 + 1), 10**8, 10**9, 10**12]:
         assert length_to_trace(trace_to_length(t)) == t
+    # float lengths are too coarse to single out one trace near 1e14
+    with pytest.raises(NotRealizableError):
+        length_to_trace(trace_to_length(10**14))
 
 
 def test_trace_to_length_strictly_increasing():
@@ -47,6 +50,8 @@ def test_length_to_trace_rejections():
     with pytest.raises(NotRealizableError) as info:
         length_to_trace(2.0)  # 2*cosh(1) = 3.086...: no integer trace
     assert info.value.value == 2.0
+    with pytest.raises(NotRealizableError):
+        length_to_trace(2000.0)  # cosh(1000) overflows a float
 
 
 def test_length_to_trace_tolerance_band():
