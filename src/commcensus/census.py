@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import gf2
-from .arith import character_table, factorize, is_square, kronecker
+from .arith import character_table, factorize, kronecker, squarefree_part
 from .arith import prime_segments, primes_in_range
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
@@ -397,15 +397,12 @@ def construct_family(n: int, search_bound: int = 10**6) -> FamilyResult:
     l4 = None
     rest = primes[1:]
     for d in range(2, search_bound + 1):
-        if is_square(d):
+        # the splitting filter is cheap; factor only the survivors
+        disc = d if d % 4 == 1 else 4 * d
+        if kronecker(disc, p1) != 1 or any(kronecker(disc, p) != -1 for p in rest):
             continue
-        fld = field_from_d(d)
-        if fld.d != d:
-            continue
-        if splitting(fld, p1) is not SplitType.SPLIT:
-            continue
-        if all(splitting(fld, p) is SplitType.INERT for p in rest):
-            l4 = fld
+        if squarefree_part(d) == (d, 1):
+            l4 = QuadField(d, disc)
             break
     if l4 is None:
         raise SearchExhaustedError(
@@ -426,9 +423,9 @@ def construct_family(n: int, search_bound: int = 10**6) -> FamilyResult:
 class SelectivityVerdict:
     """Condition-by-condition selectivity report; never selective over Q."""
 
-    selective_possible: bool
-    condition1: bool
-    condition2: bool
+    selective_possible = False
+    condition1 = True
+    condition2 = False
     condition3: bool
     certificate_prime: int
     conductor_primes: tuple[tuple[int, SplitType], ...]
@@ -452,9 +449,6 @@ def selectivity_check(b: RamSet, order: QuadOrder) -> SelectivityVerdict:
     )
     condition3 = all(s is SplitType.SPLIT for _, s in cond_primes)
     return SelectivityVerdict(
-        selective_possible=False,
-        condition1=True,
-        condition2=False,
         condition3=condition3,
         certificate_prime=certificate,
         conductor_primes=cond_primes,

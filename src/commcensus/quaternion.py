@@ -9,7 +9,7 @@ order in the indefinite case comes out as an exact rational multiple of pi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -90,11 +90,18 @@ class RamSet:
 
 @dataclass(frozen=True)
 class AlgebraClass:
-    """Isomorphism class of a quaternion algebra with its covolume data."""
+    """Isomorphism class of a quaternion algebra: its ramification set."""
 
     ram: RamSet
-    is_division: bool
-    coarea: PiMultiple | None = field(default=None, compare=False)
+
+    @property
+    def is_division(self) -> bool:
+        return self.ram.is_division
+
+    @property
+    def coarea(self) -> PiMultiple | None:
+        """Exact coarea; None for a definite algebra, which has no Fuchsian group."""
+        return None if self.ram.at_infinity else coarea_rational(self.ram)
 
 
 def _split_valuation(n: int, p: int) -> tuple[int, int]:
@@ -178,9 +185,8 @@ def coarea_rational(b: RamSet) -> PiMultiple:
 
 
 def algebra_class(b: RamSet) -> AlgebraClass:
-    """Bundle a ramification set with its division flag and coarea."""
-    coarea = None if b.at_infinity else coarea_rational(b)
-    return AlgebraClass(b, b.is_division, coarea)
+    """Algebra class of a ramification set; is_division and coarea derive from it."""
+    return AlgebraClass(b)
 
 
 def coarea_general(n_k: int, d_k: int, zeta_k2: float, prime_norms) -> float:

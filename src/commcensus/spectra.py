@@ -76,9 +76,7 @@ def length_to_trace(length: float, tol: float = DEFAULT_TOL) -> int:
 
 def embedding_field(t: int) -> QuadField:
     """Field generated by the eigenvalue of a trace-t class: Q(sqrt(t**2 - 4))."""
-    if t < 3:
-        raise DomainError(f"need trace t >= 3, got {t}")
-    return field_from_d(t * t - 4)
+    return order_from_lambda(t).field
 
 
 def invariant_trace_data(t: int) -> tuple[int, QuadField]:
@@ -94,12 +92,18 @@ def invariant_trace_data(t: int) -> tuple[int, QuadField]:
 
 @dataclass(frozen=True)
 class GeodesicClass:
-    """One prescribed geodesic class: trace, length, field, canonical order."""
+    """One prescribed geodesic class: its trace and canonical order Z[lambda]."""
 
     trace: int
-    length: float
-    field: QuadField
     order: QuadOrder
+
+    @property
+    def length(self) -> float:
+        return trace_to_length(self.trace)
+
+    @property
+    def field(self) -> QuadField:
+        return self.order.field
 
 
 @dataclass(frozen=True)
@@ -121,12 +125,7 @@ class SpectrumSpec:
 
 def geodesic_class(t: int) -> GeodesicClass:
     """Geodesic class of integer trace t >= 3 with its canonical order Z[lambda]."""
-    return GeodesicClass(
-        trace=t,
-        length=trace_to_length(t),
-        field=embedding_field(t),
-        order=order_from_lambda(t),
-    )
+    return GeodesicClass(t, order_from_lambda(t))
 
 
 def spectrum_from_inputs(

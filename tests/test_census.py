@@ -1,6 +1,7 @@
 """Census of commensurability classes: finiteness, counting, growth, family."""
 from __future__ import annotations
 
+import dataclasses
 import gc
 import itertools
 import math
@@ -14,6 +15,7 @@ from commcensus import census
 from commcensus.arith import is_square, kronecker
 from commcensus.census import (
     InfiniteCensusError,
+    SelectivityVerdict,
     construct_family,
     count_algebras,
     nonsplit_is_finite,
@@ -325,6 +327,23 @@ def test_construct_family_small_n():
             assert p % 8 == 1 and kronecker(17, p) == -1
 
 
+def test_construct_family_smallest_fourth_field():
+    """d4 is the smallest squarefree d with p1 split and every later prime inert."""
+    for n in range(9):
+        fam = construct_family(n)
+        p1, rest = fam.primes[0], fam.primes[1:]
+        for d in itertools.count(2):
+            disc = d if d % 4 == 1 else 4 * d
+            if (
+                oracles.split_at(disc, p1) == 1
+                and all(oracles.split_at(disc, p) == -1 for p in rest)
+                and oracles.squarefree_reduce(d) == d
+            ):
+                break
+        assert fam.d4 == d, n
+        assert fam.fields[3] == field_from_d(d)
+
+
 def test_construct_family_brute_prime_scan():
     """No prime below 10**4 outside {p2..pm} survives all four fields."""
     fam = construct_family(1)
@@ -345,6 +364,12 @@ def test_selectivity_never_possible():
     assert not verdict.selective_possible
     assert verdict.condition1 and not verdict.condition2
     assert verdict.certificate_prime == 17
+    # the three constant conditions are class attributes, not stored fields
+    assert [f.name for f in dataclasses.fields(SelectivityVerdict)] == [
+        "condition3",
+        "certificate_prime",
+        "conductor_primes",
+    ]
 
     # conductor 2 on disc 68: 2 splits in Q(sqrt 17), condition (3) holds
     v68 = selectivity_check(RamSet((3, 17)), order_from_disc(68))

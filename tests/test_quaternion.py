@@ -1,6 +1,7 @@
 """Quaternion algebras over Q: Hilbert symbols, ramification, coarea."""
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -12,6 +13,7 @@ from commcensus.errors import DomainError
 from commcensus.quadratic import SplitType, field_from_d, splitting
 from commcensus.quaternion import (
     INFINITE_PLACE,
+    AlgebraClass,
     PiMultiple,
     RamSet,
     admits_embedding,
@@ -196,6 +198,10 @@ def test_algebra_class_flags():
     # definite classes carry no coarea: no Fuchsian group to measure
     definite = algebra_class(RamSet((2,), at_infinity=True))
     assert definite.is_division and definite.coarea is None
+    # the ramification set is the only stored value; the rest derives from it
+    assert [f.name for f in dataclasses.fields(AlgebraClass)] == ["ram"]
+    assert cls == AlgebraClass(RamSet((17, 3)))
+    assert cls != algebra_class(RamSet((2, 3)))
 
 
 def test_coarea_general_reproduces_rational():

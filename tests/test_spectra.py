@@ -1,14 +1,17 @@
 """Length-trace conversion and spectrum assembly."""
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
 
+from commcensus import arith
 from commcensus.arith import squarefree_part
 from commcensus.errors import DomainError, NotRealizableError
 from commcensus.quadratic import field_from_d
 from commcensus.spectra import (
+    GeodesicClass,
     SpectrumSpec,
     embedding_field,
     geodesic_class,
@@ -86,6 +89,26 @@ def test_geodesic_class_bundle():
     assert g.field == field_from_d(3)
     assert g.order.order_disc == 12
     assert abs(g.length - trace_to_length(4)) < 1e-15
+    # length and field derive from the stored (trace, order)
+    assert [f.name for f in dataclasses.fields(GeodesicClass)] == ["trace", "order"]
+    assert g == GeodesicClass(4, g.order)
+
+
+def test_geodesic_class_factors_once(monkeypatch):
+    """Field and order of a class come from one factorization of t**2 - 4."""
+    calls = []
+    factorize = arith.factorize
+
+    def counting(n, *args, **kwargs):
+        calls.append(n)
+        return factorize(n, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    for t in (4, 66, 1000, 12345):
+        calls.clear()
+        g = geodesic_class(t)
+        assert calls == [t * t - 4]
+        assert g.field == field_from_d(t * t - 4)
 
 
 def test_spectrum_from_radicands():
