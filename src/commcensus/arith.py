@@ -27,6 +27,7 @@ __all__ = [
     "character_table",
     "cf_sqrt",
     "pell_fundamental",
+    "norm_one_fundamental",
     "primes_in_range",
     "prime_segments",
     "sieve_segment",
@@ -39,6 +40,8 @@ _TRIAL_BOUND = 10**6
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 _DEFAULT_RHO_BUDGET = 4_000_000
+
+_SEGMENT = 1 << 19
 
 
 def is_square(n: int) -> bool:
@@ -257,25 +260,64 @@ def character_table(disc: int) -> np.ndarray:
     return np.array([kronecker(disc, r) for r in range(disc)], dtype=np.int8)
 
 
+def _check_radicand(d: int) -> None:
+    if d <= 1:
+        raise DomainError(f"need d > 1, got {d}")
+    if is_square(d):
+        raise DomainError(f"{d} is a perfect square")
+
+
+def _partial_quotients(D: int) -> Iterator[tuple[int, int]]:
+    """Partial quotients a_k of theta = (sqrt(D) - r)/2, r = D mod 2, with q_(k+1).
+
+    D > 0 is a non-square, 0 or 1 mod 4. The complete quotients are
+    (m + sqrt(D))/q with q dividing D - m**2, starting from m = -r, q = 2;
+    one step is a = floor((m + sqrt(D))/q), m -> a*q - m, q -> (D - m**2)/q.
+    """
+    s = math.isqrt(D)
+    m, q = -(D % 2), 2
+    while True:
+        a = (m + s) // q
+        m = a * q - m
+        q = (D - m * m) // q
+        yield a, q
+
+
 def cf_sqrt(d: int) -> tuple[int, list[int]]:
     """Continued fraction of sqrt(d) for non-square d > 1.
 
     Returns (a0, period). The expansion is [a0; period repeated], with the
     period ending at the term 2*a0.
     """
-    if d <= 1:
-        raise DomainError(f"need d > 1, got {d}")
-    a0 = math.isqrt(d)
-    if a0 * a0 == d:
-        raise DomainError(f"{d} is a perfect square")
-    m, q, a = 0, 1, a0
-    period = []
-    while a != 2 * a0:
-        m = q * a - m
-        q = (d - m * m) // q
-        a = (a0 + m) // q
-        period.append(a)
+    _check_radicand(d)
+    quotients = (a for a, _ in _partial_quotients(4 * d))  # theta = sqrt(4d)/2
+    a0 = next(quotients)
+    period = [next(quotients)]
+    while period[-1] != 2 * a0:
+        period.append(next(quotients))
     return a0, period
+
+
+def norm_one_fundamental(D: int) -> tuple[int, int]:
+    """Minimal (X, Y), X, Y >= 1, with X**2 - D*Y**2 = 4.
+
+    D > 0 is a non-square, 0 or 1 mod 4: (X + Y*sqrt(D))/2 is then the
+    fundamental norm-one unit of the order of discriminant D. It is the
+    first convergent P/Q of theta = (sqrt(D) - r)/2 with X = 2P + rQ,
+    Y = Q solving the equation (Lenstra, Notices AMS 49, 2002). Since
+    (2P_k + rQ_k)**2 - D*Q_k**2 = (-1)**(k+1) * 2 * q_(k+1), that is the
+    first odd k with q_(k+1) = 2.
+    """
+    if D <= 0 or D % 4 > 1 or is_square(D):
+        raise DomainError(f"{D} is not a real quadratic order discriminant")
+    r = D % 2
+    p_prev, p = 0, 1  # convergent numerators P_(k-2), P_(k-1)
+    y_prev, y = 1, 0  # and denominators Q_(k-2), Q_(k-1)
+    for k, (a, q_next) in enumerate(_partial_quotients(D)):
+        p_prev, p = p, a * p + p_prev
+        y_prev, y = y, a * y + y_prev
+        if k % 2 and q_next == 2:
+            return 2 * p + r * y, y
 
 
 class PellSolution(NamedTuple):
@@ -284,22 +326,13 @@ class PellSolution(NamedTuple):
 
 
 def pell_fundamental(d: int) -> PellSolution:
-    """Minimal positive solution of x**2 - d*y**2 = 1.
+    """Minimal positive solution of x**2 - d*y**2 = 1, for every non-square d > 1.
 
-    Walks the convergents of sqrt(d) and returns the first one that solves
-    the equation exactly; works for every non-square d > 1.
+    The case D = 4d of norm_one_fundamental: X = 2x, Y = y.
     """
-    a0, period = cf_sqrt(d)
-    p_prev, p_cur = 1, a0
-    q_prev, q_cur = 0, 1
-    if p_cur * p_cur - d * q_cur * q_cur == 1:
-        return PellSolution(p_cur, q_cur)
-    while True:
-        for a in period:
-            p_prev, p_cur = p_cur, a * p_cur + p_prev
-            q_prev, q_cur = q_cur, a * q_cur + q_prev
-            if p_cur * p_cur - d * q_cur * q_cur == 1:
-                return PellSolution(p_cur, q_cur)
+    _check_radicand(d)
+    X, Y = norm_one_fundamental(4 * d)
+    return PellSolution(X // 2, Y)
 
 
 def _small_sieve(limit: int) -> np.ndarray:
@@ -335,12 +368,12 @@ def sieve_segment(lo: int, hi: int, base: np.ndarray | None = None) -> np.ndarra
     return (np.nonzero(mask)[0] + lo).astype(np.int64)
 
 
-def prime_segments(lo: int, hi: int, segment_size: int = 1 << 19) -> Iterator[np.ndarray]:
-    """Yield the primes in [lo, hi] as ascending numpy blocks, one per segment.
+def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Yield the primes in [lo, hi] as ascending numpy blocks of 2**19 numbers each.
 
     Segmented sieve: the base primes up to sqrt(hi) are sieved once, and
-    memory stays O(sqrt(hi) + segment_size) no matter how wide the range
-    is. Bounds are validated eagerly, before iteration.
+    memory stays O(sqrt(hi) + 2**19) no matter how wide the range is.
+    Bounds are validated eagerly, before iteration.
     """
     if lo < 2 or hi < lo:
         raise DomainError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
@@ -349,18 +382,17 @@ def prime_segments(lo: int, hi: int, segment_size: int = 1 << 19) -> Iterator[np
         base = _small_sieve(math.isqrt(hi) + 1)
         start = lo
         while start <= hi:
-            end = min(start + segment_size - 1, hi)
+            end = min(start + _SEGMENT - 1, hi)
             yield sieve_segment(start, end, base)
             start = end + 1
 
     return gen()
 
 
-def primes_in_range(lo: int, hi: int, segment_size: int = 1 << 19) -> Iterator[int]:
+def primes_in_range(lo: int, hi: int) -> Iterator[int]:
     """Yield every prime p with lo <= p <= hi, in increasing order.
 
     The same segmented sieve as prime_segments, one Python int at a time.
     Bounds are validated eagerly, before iteration.
     """
-    segments = prime_segments(lo, hi, segment_size)
-    return (int(p) for block in segments for p in block)
+    return (int(p) for block in prime_segments(lo, hi) for p in block)

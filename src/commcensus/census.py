@@ -13,11 +13,12 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from . import gf2
-from .arith import character_table, factorize, kronecker, squarefree_part
+from .arith import character_table, factorize, kronecker
 from .arith import prime_segments, primes_in_range
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
@@ -226,9 +227,38 @@ def _nonsplit_pool(fields, pmax: int) -> np.ndarray:
     )
 
 
-def _cutoff(volume: float) -> int:
-    """Largest integer N < 3V/pi: coarea pi/3 * prod(p - 1) < V iff prod(p - 1) <= N."""
-    return math.ceil(3.0 * volume / math.pi) - 1
+def _pi_within(bits: int) -> tuple[Fraction, Fraction]:
+    """Rationals lo < pi < hi from Euler's pi = 4 atan(1/2) + 4 atan(1/3).
+
+    Summed in units of 2**-bits: each truncated term, and each alternating
+    tail left off, is off by less than one unit.
+    """
+    one = 1 << bits
+    total, slack = 0, 2
+    for x in (2, 3):
+        power, k = one // x, 1
+        while power:
+            total += (-1) ** (k // 2) * (power // k)
+            power //= x * x
+            k += 2
+            slack += 1
+    return Fraction(4 * (total - slack), one), Fraction(4 * (total + slack), one)
+
+
+def _cutoff(volume: float | Fraction) -> int:
+    """Largest integer N < 3V/pi: coarea pi/3 * prod(p - 1) < V iff prod(p - 1) <= N.
+
+    Decided exactly for a rational V > 0: 3V/pi is irrational, so a fine
+    enough enclosure of pi puts both ends in the same integer step.
+    """
+    three_v = 3 * Fraction(volume)
+    bits = 64
+    while True:
+        lo, hi = _pi_within(bits)
+        n = math.ceil(three_v / hi) - 1
+        if n == math.ceil(three_v / lo) - 1:
+            return n
+        bits *= 2
 
 
 def _ram_factors(fields, top: int) -> list[int]:
@@ -337,7 +367,7 @@ def short_interval_delta(spec: SpectrumSpec, volume: float, window: float) -> In
         raise DomainError(f"window {window} must be smaller than volume {volume}")
     fields = _check_fields(spec.fields())
     r = len(spec.classes)
-    cutoffs = [_cutoff(volume), _cutoff(volume + window)]
+    cutoffs = [_cutoff(volume), _cutoff(Fraction(volume) + Fraction(window))]
     c_lo, c_hi = _count_even_ram_sets(_ram_factors(fields, cutoffs[-1]), cutoffs)
     bound = window / (2**r * math.log(volume))
     return IntervalReport(
@@ -397,12 +427,10 @@ def construct_family(n: int, search_bound: int = 10**6) -> FamilyResult:
     l4 = None
     rest = primes[1:]
     for d in range(2, search_bound + 1):
-        # the splitting filter is cheap; factor only the survivors
-        disc = d if d % 4 == 1 else 4 * d
-        if kronecker(disc, p1) != 1 or any(kronecker(disc, p) != -1 for p in rest):
-            continue
-        if squarefree_part(d) == (d, 1):
-            l4 = QuadField(d, disc)
+        # (d|p) = (disc|p) at these odd primes. The first d to pass is
+        # squarefree: d = s*f**2 passes only if its squarefree part s < d does.
+        if kronecker(d, p1) == 1 and all(kronecker(d, p) == -1 for p in rest):
+            l4 = field_from_d(d)
             break
     if l4 is None:
         raise SearchExhaustedError(

@@ -128,36 +128,31 @@ def _class_row(cls) -> dict:
     }
 
 
-def _parse_int_list(text: str | None) -> list[int]:
-    if text is None or text.strip() == "":
-        return []
-    return [int(tok) for tok in text.split(",") if tok.strip() != ""]
-
-
-def _parse_float_list(text: str | None) -> list[float]:
-    if text is None or text.strip() == "":
-        return []
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _parse_list(args, flag: str, kind: type = int) -> list:
+    """The comma separated values of --flag (empty tokens skipped) as `kind`."""
+    values = []
+    for tok in (getattr(args, flag, None) or "").split(","):
+        if tok.strip() == "":
+            continue
+        try:
+            values.append(kind(tok))
+        except ValueError:
+            raise DomainError(f"--{flag}: {tok!r} is not a valid {kind.__name__}") from None
+    return values
 
 
 def _spectrum_inputs(args) -> dict[str, Any]:
     return {
-        "lengths": _parse_float_list(getattr(args, "lengths", None)),
-        "traces": _parse_int_list(getattr(args, "traces", None)),
-        "radicands": _parse_int_list(getattr(args, "radicands", None)),
+        "lengths": _parse_list(args, "lengths", float),
+        "traces": _parse_list(args, "traces"),
+        "radicands": _parse_list(args, "radicands"),
         "tol": getattr(args, "tol", DEFAULT_TOL),
     }
 
 
 def _build_spectrum(args) -> tuple[SpectrumSpec, dict[str, Any]]:
     inputs = _spectrum_inputs(args)
-    spec = spectrum_from_inputs(
-        lengths=inputs["lengths"],
-        traces=inputs["traces"],
-        radicands=inputs["radicands"],
-        tol=inputs["tol"],
-    )
-    return spec, inputs
+    return spectrum_from_inputs(**inputs), inputs
 
 
 def _census_fields(args) -> tuple[tuple[QuadField, ...], dict[str, Any]]:
@@ -165,8 +160,7 @@ def _census_fields(args) -> tuple[tuple[QuadField, ...], dict[str, Any]]:
     traces and lengths go through the spectrum pipeline (same fields)."""
     inputs = _spectrum_inputs(args)
     if inputs["traces"] or inputs["lengths"]:
-        spec, _ = _build_spectrum(args)
-        return spec.fields(), inputs
+        return spectrum_from_inputs(**inputs).fields(), inputs
     if not inputs["radicands"]:
         raise DomainError("provide --radicands, --traces, or --lengths")
     return _radicand_fields(inputs["radicands"]), inputs
@@ -257,7 +251,7 @@ def cmd_family(args) -> Report:
 
 def cmd_volume(args) -> Report:
     if args.ramified is not None:
-        primes = _parse_int_list(args.ramified)
+        primes = _parse_list(args, "ramified")
         inputs = {"ramified": primes}
         coarea = coarea_rational(RamSet(tuple(primes)))
         result = {
@@ -274,14 +268,14 @@ def cmd_volume(args) -> Report:
         if degree != 2:
             raise DomainError("--zeta2 is required unless --degree 2")
         zeta2 = zeta_k2_real_quadratic(args.disc)
-    norms = _parse_int_list(args.norms)
+    norms = _parse_list(args, "norms")
     inputs = {"degree": degree, "disc": args.disc, "zeta2": zeta2, "norms": norms}
     value = coarea_general(degree, args.disc, zeta2, norms)
     return Report("volume", inputs, {"coarea": value, "zeta2": zeta2})
 
 
 def cmd_chebotarev(args) -> Report:
-    radicands = _parse_int_list(args.radicands)
+    radicands = _parse_list(args, "radicands")
     if not radicands:
         raise DomainError("provide --radicands naming the fields")
     inputs = {"radicands": radicands, "X": args.X, "Y": args.Y}
@@ -300,7 +294,7 @@ def cmd_chebotarev(args) -> Report:
 
 
 def cmd_selectivity(args) -> Report:
-    primes = _parse_int_list(args.ramified)
+    primes = _parse_list(args, "ramified")
     order = order_from_disc(args.order_disc)
     inputs = {"ramified": primes, "order_disc": args.order_disc}
     verdict = selectivity_check(RamSet(tuple(primes)), order)
@@ -417,23 +411,22 @@ def main(argv=None) -> int:
     )
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = args.command
     try:
         report = args.func(args)
     except SearchExhaustedError as exc:
         log.error("search exhausted: %s", exc)
-        sys.stdout.write(json.dumps(_error_doc(command, exc), sort_keys=True, indent=2) + "\n")
-        return 3
+        code, error = 3, exc
     except DomainError as exc:
         log.error("domain error: %s", exc)
-        sys.stdout.write(json.dumps(_error_doc(command, exc), sort_keys=True, indent=2) + "\n")
-        return 2
+        code, error = 2, exc
     except Exception as exc:  # pragma: no cover - internal failure path
         log.exception("internal error")
-        sys.stdout.write(json.dumps(_error_doc(command, exc), sort_keys=True, indent=2) + "\n")
-        return 1
-    _emit(report, args.format)
-    return 0
+        code, error = 1, exc
+    else:
+        _emit(report, args.format)
+        return 0
+    sys.stdout.write(json.dumps(_error_doc(args.command, error), sort_keys=True, indent=2) + "\n")
+    return code
 
 
 if __name__ == "__main__":

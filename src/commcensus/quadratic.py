@@ -12,7 +12,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_square, kronecker, pell_fundamental, squarefree_part
+from .arith import factorize, is_square, kronecker, norm_one_fundamental, squarefree_part
 from .errors import DomainError
 
 __all__ = [
@@ -107,41 +107,6 @@ def prime_disc_vector(field: QuadField) -> frozenset[int]:
     return frozenset(parts)
 
 
-def _icbrt(n: int) -> int:
-    """Floor integer cube root, exact for arbitrary size."""
-    if n < 2:
-        return n
-    x = 1 << ((n.bit_length() + 2) // 3)
-    while True:
-        y = (2 * x + n // (x * x)) // 3
-        if y >= x:
-            return x
-        x = y
-
-
-def _fundamental_four_solution(D: int) -> tuple[int, int]:
-    """Minimal (X, Y), X, Y >= 1, with X**2 - D*Y**2 = 4, for non-square D > 0.
-
-    D = 0 mod 4 reduces to Pell on D/4. For odd D only D = 5 mod 8 can have
-    a solution with X, Y odd; it exists iff the Pell solution has an exact
-    cube root in the trace recurrence, and then it is the smaller one.
-    """
-    if D % 4 == 0:
-        x, y = pell_fundamental(D // 4)
-        return 2 * x, y
-    x, y = pell_fundamental(D)
-    if D % 8 == 5:
-        # odd solution X satisfies X**3 - 3X = 2x (trace of the cube)
-        target = 2 * x
-        lo = _icbrt(target)
-        for cand in range(max(3, lo), lo + 3):
-            if cand**3 - 3 * cand == target:
-                num = cand**2 - 4
-                if num % D == 0 and is_square(num // D):
-                    return cand, math.isqrt(num // D)
-    return 2 * x, 2 * y
-
-
 def norm_one_unit(order: QuadOrder) -> int:
     """Trace of the fundamental norm-one unit of the order.
 
@@ -149,7 +114,7 @@ def norm_one_unit(order: QuadOrder) -> int:
     discriminant; every norm-one unit of the order has trace in the
     recurrence u(n+1) = X*u(n) - u(n-1) seeded by 2, X.
     """
-    X, _ = _fundamental_four_solution(order.order_disc)
+    X, _ = norm_one_fundamental(order.order_disc)
     return X
 
 
@@ -163,11 +128,8 @@ def order_from_disc(D: int) -> QuadOrder:
         raise DomainError(f"{D} is not a real quadratic order discriminant")
     if D % 4 not in (0, 1):
         raise DomainError(f"{D} = 2, 3 mod 4 cannot be an order discriminant")
-    s, f = squarefree_part(D)
-    if s % 4 == 1:
-        return QuadOrder(QuadField(s, s), f)
-    # here D = 0 mod 4 forces f even; the fundamental disc is 4s
-    return QuadOrder(QuadField(s, 4 * s), f // 2)
+    fld = field_from_d(D)
+    return QuadOrder(fld, math.isqrt(D // fld.disc))
 
 
 def order_from_lambda(t: int) -> QuadOrder:

@@ -15,9 +15,9 @@ from fractions import Fraction
 import numpy as np
 from scipy.special import zeta as _hurwitz_zeta
 
-from .arith import character_table, factorize, is_prime, kronecker, squarefree_part
+from .arith import character_table, factorize, is_prime, kronecker
 from .errors import DomainError
-from .quadratic import QuadField, SplitType, splitting
+from .quadratic import QuadField, SplitType, field_from_d, splitting
 
 __all__ = [
     "INFINITE_PLACE",
@@ -209,22 +209,6 @@ def coarea_general(n_k: int, d_k: int, zeta_k2: float, prime_norms) -> float:
     return 8 * math.pi * d_k**1.5 * zeta_k2 / (4 * math.pi**2) ** n_k * prod
 
 
-def _check_fundamental_disc(D: int) -> None:
-    if D <= 1:
-        raise DomainError(f"need a real quadratic fundamental discriminant, got {D}")
-    if D % 4 == 1:
-        _, f = squarefree_part(D)
-        if f != 1:
-            raise DomainError(f"{D} is not fundamental (square part {f ** 2})")
-    elif D % 4 == 0:
-        m = D // 4
-        _, f = squarefree_part(m)
-        if f != 1 or m % 4 == 1:
-            raise DomainError(f"{D} is not a fundamental discriminant")
-    else:
-        raise DomainError(f"{D} = 2, 3 mod 4 cannot be a discriminant")
-
-
 def zeta_k2_real_quadratic(D: int) -> float:
     """zeta_k(2) for the real quadratic field of fundamental discriminant D.
 
@@ -232,7 +216,8 @@ def zeta_k2_real_quadratic(D: int) -> float:
     residue class: L(2, chi) = D**-2 * sum_r chi(r) * hurwitz_zeta(2, r/D).
     Accurate to well below 1e-10.
     """
-    _check_fundamental_disc(D)
+    if D <= 1 or field_from_d(D).disc != D:
+        raise DomainError(f"{D} is not a real quadratic fundamental discriminant")
     chi = character_table(D)[np.arange(1, D + 1) % D].astype(np.float64)  # chi(D) = chi(0)
     hz = _hurwitz_zeta(2.0, np.arange(1, D + 1, dtype=np.float64) / D)
     l_value = float(np.dot(chi, hz)) / D**2

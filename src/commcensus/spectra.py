@@ -117,10 +117,7 @@ class SpectrumSpec:
 
     def fields(self) -> tuple[QuadField, ...]:
         """Embedding fields, deduplicated, in first-appearance order."""
-        seen: dict[QuadField, None] = {}
-        for c in self.classes:
-            seen.setdefault(c.field, None)
-        return tuple(seen)
+        return tuple(dict.fromkeys(c.field for c in self.classes))
 
 
 def geodesic_class(t: int) -> GeodesicClass:

@@ -8,6 +8,7 @@ test time, the fallback is stated next to the routine that uses it.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -315,6 +316,56 @@ def pell_is_fundamental(d: int, x: int, y: int) -> bool:
     return True
 
 
+def _iroot(n: int, k: int) -> int:
+    """floor(n ** (1/k)) for n >= 1, by integer Newton steps from above."""
+    x = 1 << -(-n.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + n // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _trace_power(u: int, k: int) -> int:
+    """V_k for V_0 = 2, V_1 = u, V_(j+1) = u V_j - V_(j-1): trace of the k-th power."""
+    a, b = 2, u
+    for _ in range(k - 1):
+        a, b = b, u * b - a
+    return b
+
+
+def norm_one_is_fundamental(D: int, X: int, Y: int) -> bool:
+    """Exact minimality of the unit (X + Y sqrt(D))/2 among norm-one units > 1.
+
+    A smaller one, eta with trace u >= 3, would give X = V_k(u) for some
+    k >= 2, and then for a prime k too (eta**(k/p) is a p-th root). For
+    every prime k with V_k(3) <= X the candidate traces near X**(1/k) are
+    tested for u**2 - 4 = D v**2 and V_k(u) = X exactly. The guess is a
+    float for small roots and an integer k-th root for large ones.
+    """
+    if X < 3 or Y < 1 or X * X - D * Y * Y != 4:
+        return False
+    log_x = math.log(X)
+    k, smallest = 1, (2, 3)  # (V_(k-1)(3), V_k(3))
+    while True:
+        k += 1
+        smallest = (smallest[1], 3 * smallest[1] - smallest[0])
+        if smallest[1] > X:
+            return True
+        if not trial_is_prime(k):
+            continue
+        if log_x / k < 30:
+            guess = round(math.exp(log_x / k) + math.exp(-log_x / k))
+            candidates = range(max(3, guess - 1), guess + 2)
+        else:  # u = floor(lambda) + 1 and X**(1/k) is within 1e-13 of lambda
+            root = _iroot(X, k)
+            candidates = range(root, root + 3)
+        for u in candidates:
+            v2, rem = divmod(u * u - 4, D)
+            if rem == 0 and math.isqrt(v2) ** 2 == v2 and _trace_power(u, k) == X:
+                return False
+
+
 def brute_norm_one_trace(D: int, bound: int = 10**6):
     """Smallest X >= 3 with X^2 - D Y^2 = 4 solvable, scanning Y upward."""
     for y in range(1, bound):
@@ -338,6 +389,61 @@ def norm_one_scan(D: int, limit: int = 10**5):
     x = math.isqrt(D * y * y + 4)
     assert x * x - D * y * y == 4
     return x
+
+
+# ---------------------------------------------------------------------------
+# pi as an exact rational interval, for coarea cutoffs
+
+
+@lru_cache(maxsize=None)
+def pi_interval(digits: int = 50) -> tuple[Fraction, Fraction]:
+    """lo < pi < hi with hi - lo < 10**-digits, by Machin's formula.
+
+    pi = 16 atan(1/5) - 4 atan(1/239), each arctangent an alternating
+    series of decreasing terms summed exactly: a partial sum lies within
+    the first omitted term of the true value.
+    """
+    eps = Fraction(1, 100 * 10**digits)
+
+    def atan_inv(x: int) -> tuple[Fraction, Fraction]:
+        total, j = Fraction(0), 0
+        while True:
+            term = Fraction(1, (2 * j + 1) * x ** (2 * j + 1))
+            if term < eps:
+                return total - term, total + term
+            total += -term if j % 2 else term
+            j += 1
+
+    lo5, hi5 = atan_inv(5)
+    lo239, hi239 = atan_inv(239)
+    return 16 * lo5 - 4 * hi239, 16 * hi5 - 4 * lo239
+
+
+def coarea_cutoff(volume) -> int:
+    """Largest integer N with N pi < 3V: coarea N pi/3 < V exactly when prod <= N."""
+    lo, hi = pi_interval()
+    three_v = 3 * Fraction(volume)
+    n = math.ceil(three_v / hi) - 1
+    if n != math.ceil(three_v / lo) - 1:
+        raise ValueError(f"{volume!r} is undecided with pi to 50 digits")
+    return n
+
+
+def even_subset_products(factors: list[int], limit: int) -> list[int]:
+    """Sorted products <= limit of the even-size sub-multisets (empty set included)."""
+    factors = sorted(factors)
+    found = []
+
+    def walk(start: int, prod: int, size: int) -> None:
+        if size % 2 == 0:
+            found.append(prod)
+        for i in range(start, len(factors)):
+            if prod * factors[i] > limit:
+                break
+            walk(i + 1, prod * factors[i], size + 1)
+
+    walk(0, 1, 0)
+    return sorted(found)
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from commcensus.arith import (
     is_prime,
     is_square,
     kronecker,
+    norm_one_fundamental,
     pell_fundamental,
     prime_segments,
     primes_in_range,
@@ -181,6 +182,9 @@ def test_pell_rejects_bad_input():
         pell_fundamental(16)
     with pytest.raises(DomainError):
         pell_fundamental(1)
+    for bad in (-5, 0, 4, 7, 10, 16, 25):  # negative, square, or 2, 3 mod 4
+        with pytest.raises(DomainError):
+            norm_one_fundamental(bad)
 
 
 def test_primes_in_range_trial_windows():
@@ -203,14 +207,17 @@ def test_primes_in_range_edges():
 
 
 def test_sieve_segment_matches_unsegmented():
-    whole = list(primes_in_range(2, 10**5, segment_size=1 << 20))
+    """prime_segments spans three 2**19 blocks; sieve_segment pieces agree."""
+    whole = oracles.sieve_upto(1_200_000).tolist()
+    blocks = list(prime_segments(2, 1_200_000))
+    assert len(blocks) == 3
+    assert all(block[-1] < nxt[0] for block, nxt in zip(blocks, blocks[1:]))
+    assert [int(p) for block in blocks for p in block] == whole
+    assert list(primes_in_range(2, 1_200_000)) == whole
     pieces = []
     for lo in range(2, 10**5 + 1, 1000):
         pieces.extend(int(p) for p in sieve_segment(lo, min(lo + 999, 10**5)))
-    assert pieces == whole
-    blocks = list(prime_segments(2, 10**5, segment_size=1000))
-    assert len(blocks) == 100
-    assert [int(p) for block in blocks for p in block] == whole
+    assert pieces == [p for p in whole if p <= 10**5]
 
 
 def test_is_square():

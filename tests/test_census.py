@@ -1,12 +1,14 @@
 """Census of commensurability classes: finiteness, counting, growth, family."""
 from __future__ import annotations
 
+import bisect
 import dataclasses
 import gc
 import itertools
 import math
 import random
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -208,6 +210,48 @@ def test_pi_of_v_infinite_spec_brute_subsets():
         assert count == want, volume
         assert len(classes) == count
         assert all(float(c.coarea) < volume for c in classes)
+
+
+def test_coarea_cutoff_is_exact_at_the_boundary():
+    """The float 41.88790204786391 lies just above 40 pi/3, where {2, 41} has coarea 40 pi/3."""
+    spec = spectrum_from_inputs(traces=[4])
+    volume = 41.88790204786391
+    assert Fraction(volume) == Fraction(5895198126690367, 2**47)
+    assert oracles.coarea_cutoff(volume) == 40
+    assert pi_of_V(spec, volume)[0] == 14
+    assert pi_of_V(spec, math.nextafter(volume, 0))[0] == 13
+    assert short_interval_delta(spec, 30.0, 11.88790204786391).count_at_v_plus_w == 14
+    # below = 40 pi/3 - 0.9 ulp: below + 0.7 ulp rounds up to volume in float, yet stays below
+    below = math.nextafter(volume, 0)
+    window = 0.7 * (volume - below)
+    assert below + window == volume
+    assert short_interval_delta(spec, below, window).count_at_v_plus_w == 13
+    # rational V within 1e-100 of 40 pi/3: the enclosure of pi is refined past 64 bits
+    lo, hi = oracles.pi_interval(100)
+    assert census._cutoff(40 * lo / 3) == 39 and census._cutoff(40 * hi / 3) == 40
+    lo, hi = oracles.pi_interval(200)
+    for bits in (64, 128, 512):
+        enc_lo, enc_hi = census._pi_within(bits)
+        assert enc_lo < lo < hi < enc_hi and enc_hi - enc_lo < Fraction(bits, 2 ** (bits - 3))
+
+
+def test_coarea_cutoff_sweep_against_machin_oracle():
+    """V = float(k pi/3) and both float neighbours, for every even-set product k <= 2000."""
+    spec = spectrum_from_inputs(traces=[4])  # the field Q(sqrt(3)), disc 12
+    limit = 2000
+    factors = [p - 1 for p in oracles.nonsplit_scan([12], limit + 1)]
+    prods = oracles.even_subset_products(factors, limit)
+    pi_mid = sum(oracles.pi_interval()) / 2
+    for i, k in enumerate(sorted(set(prods))):
+        v = float(k * pi_mid / 3)
+        for volume in (math.nextafter(v, 0), v, math.nextafter(v, math.inf)):
+            want = bisect.bisect_right(prods, oracles.coarea_cutoff(volume))
+            assert pi_of_V(spec, volume)[0] == want, (k, volume)
+            if i % 10 == 0:  # V + W summed exactly: lo + (V - lo) is V (Sterbenz)
+                lo = 0.75 * volume
+                rep = short_interval_delta(spec, lo, volume - lo)
+                assert rep.count_at_v_plus_w == want, (k, volume)
+                assert rep.count_at_v == bisect.bisect_right(prods, oracles.coarea_cutoff(lo))
 
 
 def test_short_interval_consistency():

@@ -151,6 +151,18 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
 
 
+def test_malformed_list_is_domain_error(capsys):
+    for argv, flag, token in (
+        (("count", "--radicands", "3.5"), "--radicands", "'3.5'"),
+        (("spectra", "--lengths", "abc"), "--lengths", "'abc'"),
+        (("volume", "--ramified", "3,x"), "--ramified", "'x'"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert code == 2, argv
+        assert doc["error"]["type"] == "DomainError"
+        assert flag in doc["error"]["message"] and token in doc["error"]["message"]
+
+
 def test_not_realizable_error_carries_position(capsys):
     code, doc = run_json(capsys, "spectra", "--lengths", "2.0")
     assert code == 2

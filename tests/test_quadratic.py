@@ -6,7 +6,7 @@ import random
 import pytest
 
 import oracles
-from commcensus.arith import is_square, kronecker
+from commcensus.arith import is_square, kronecker, norm_one_fundamental
 from commcensus.errors import DomainError
 from commcensus.quadratic import (
     QuadField,
@@ -136,6 +136,28 @@ def test_norm_one_unit_scan_oracle():
         assert norm_one_unit(order_from_disc(D)) == want, D
         compared += 1
     assert compared > 300  # 349 of the ~465 candidate discs land in scan range
+
+
+def test_norm_one_unit_minimal_past_scan_range():
+    """Seeded D in [10**3, 10**6], each valid residue mod 8, against the descent oracle."""
+    rng = random.Random(2002)
+    per_residue = {0: 0, 1: 0, 4: 0, 5: 0}
+    odd_solutions = 0
+    while min(per_residue.values()) < 50:
+        D = rng.randrange(10**3, 10**6)
+        if D % 8 not in per_residue or is_square(D) or per_residue[D % 8] >= 50:
+            continue
+        X, Y = norm_one_fundamental(D)
+        assert norm_one_unit(order_from_disc(D)) == X
+        assert oracles.norm_one_is_fundamental(D, X, Y), D
+        per_residue[D % 8] += 1
+        odd_solutions += X % 2
+    assert odd_solutions >= 10  # D = 5 mod 8 with an odd fundamental solution: 32 here
+    # squares and cubes of a fundamental unit are rejected by the oracle
+    for D in (13, 21, 1_000_005):
+        X, Y = norm_one_fundamental(D)
+        assert not oracles.norm_one_is_fundamental(D, X * X - 2, X * Y)
+        assert not oracles.norm_one_is_fundamental(D, X**3 - 3 * X, Y * (X * X - 1))
 
 
 def test_norm_one_unit_satisfies_equation():
