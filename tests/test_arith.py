@@ -19,11 +19,14 @@ from commcensus.arith import (
     norm_one_fundamental,
     pell_fundamental,
     prime_segments,
-    primes_in_range,
     sieve_segment,
     squarefree_part,
 )
 from commcensus.errors import DomainError, FactorBudgetError
+
+
+def _primes(lo, hi):
+    return [int(p) for block in prime_segments(lo, hi) for p in block]
 
 
 def test_is_prime_matches_trial_division():
@@ -193,17 +196,17 @@ def test_primes_in_range_trial_windows():
     for _ in range(20):
         lo = rng.randint(2, 10**7 - 10**3)
         hi = lo + 10**3
-        assert list(primes_in_range(lo, hi)) == oracles.trial_primes(lo, hi)
+        assert _primes(lo, hi) == oracles.trial_primes(lo, hi)
 
 
 def test_primes_in_range_edges():
-    assert list(primes_in_range(10, 20)) == [11, 13, 17, 19]
-    assert list(primes_in_range(2, 2)) == [2]
-    assert list(primes_in_range(24, 28)) == []
+    assert _primes(10, 20) == [11, 13, 17, 19]
+    assert _primes(2, 2) == [2]
+    assert _primes(24, 28) == []
     with pytest.raises(DomainError):
-        primes_in_range(1, 10)
+        prime_segments(1, 10)  # validated before the first block is asked for
     with pytest.raises(DomainError):
-        primes_in_range(50, 40)
+        prime_segments(50, 40)
 
 
 def test_sieve_segment_matches_unsegmented():
@@ -213,7 +216,7 @@ def test_sieve_segment_matches_unsegmented():
     assert len(blocks) == 3
     assert all(block[-1] < nxt[0] for block, nxt in zip(blocks, blocks[1:]))
     assert [int(p) for block in blocks for p in block] == whole
-    assert list(primes_in_range(2, 1_200_000)) == whole
+    assert _primes(2, 1_200_000) == whole
     pieces = []
     for lo in range(2, 10**5 + 1, 1000):
         pieces.extend(int(p) for p in sieve_segment(lo, min(lo + 999, 10**5)))

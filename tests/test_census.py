@@ -181,6 +181,8 @@ def test_pi_of_v_matched_example():
     assert [c.ram for c in classes] == [RamSet(()), RamSet((3, 17))]
     with pytest.raises(DomainError):
         pi_of_V(spec, 0.0)
+    with pytest.raises(DomainError):
+        pi_of_V(spec, math.inf)
 
 
 def test_pi_of_v_monotone_and_saturates():
@@ -210,6 +212,31 @@ def test_pi_of_v_infinite_spec_brute_subsets():
         assert count == want, volume
         assert len(classes) == count
         assert all(float(c.coarea) < volume for c in classes)
+
+
+def test_unchecked_classes_equal_checked_ram_sets():
+    """The census builds RamSets without RamSet's checks; they must pass them.
+
+    Each class equals the publicly checked RamSet of its primes, every entry
+    is prime by an independent sieve, and the coarea numerators prod(p - 1)
+    are exactly the oracle's even-subset products of the nonsplit pool.
+    """
+    cases = []
+    for traces, volume in (((4,), 1e4), ((4, 5), 3e3)):
+        spec = spectrum_from_inputs(traces=traces)
+        limit = oracles.coarea_cutoff(volume)
+        pool = oracles.nonsplit_scan([f.disc for f in spec.fields()], limit + 1)
+        cases.append((pi_of_V(spec, volume)[1], pool, limit))
+    fam = construct_family(4)
+    pool = list(fam.primes[1:])
+    cases.append((count_algebras(fam.fields).classes, pool, math.prod(p - 1 for p in pool)))
+    for classes, pool, limit in cases:
+        primes = set(oracles.sieve_upto(max(pool)).tolist())
+        for c in classes:
+            assert c.ram == RamSet(c.ram.finite_primes), c
+            assert all(type(p) is int and p in primes for p in c.ram.finite_primes), c
+        prods = sorted(math.prod(p - 1 for p in c.ram.finite_primes) for c in classes)
+        assert prods == oracles.even_subset_products([p - 1 for p in pool], limit)
 
 
 def test_coarea_cutoff_is_exact_at_the_boundary():
@@ -348,6 +375,11 @@ def test_short_interval_validation():
         short_interval_delta(spec, 100.0, 0.0)
     with pytest.raises(DomainError):
         short_interval_delta(spec, 0.0, 10.0)
+    with pytest.raises(DomainError):
+        short_interval_delta(spec, math.inf, 1.0)
+    with pytest.raises(DomainError):
+        short_interval_delta(spec, 1.0, 0.5)  # ln V = 0: no density floor
+    assert short_interval_delta(spec, 0.9, 0.5).bound < 0  # V < 1 stays valid
 
 
 def test_construct_family_small_n():

@@ -149,6 +149,14 @@ def test_domain_error_exit_code(capsys):
     assert code == 2
     code, doc = run_json(capsys, "interval", "--traces", "4", "--V", "10", "--W", "20")
     assert code == 2
+    # an infinite V, or V = 1 where the floor's ln V is 0
+    for argv in (
+        ("pi", "--traces", "4", "--volume", "inf"),
+        ("interval", "--traces", "4", "--V", "inf", "--W", "1"),
+        ("interval", "--traces", "4", "--V", "1", "--W", "0.5"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
 
 
 def test_malformed_list_is_domain_error(capsys):

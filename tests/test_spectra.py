@@ -13,7 +13,6 @@ from commcensus.quadratic import field_from_d
 from commcensus.spectra import (
     GeodesicClass,
     SpectrumSpec,
-    embedding_field,
     geodesic_class,
     invariant_trace_data,
     length_to_trace,
@@ -67,11 +66,11 @@ def test_length_to_trace_tolerance_band():
 
 
 def test_embedding_field_examples():
-    assert embedding_field(3) == field_from_d(5)
-    assert embedding_field(4) == field_from_d(3)
-    assert embedding_field(6) == field_from_d(2)
-    assert embedding_field(66) == field_from_d(17)
-    assert embedding_field(100) == field_from_d(51)
+    assert geodesic_class(3).field == field_from_d(5)
+    assert geodesic_class(4).field == field_from_d(3)
+    assert geodesic_class(6).field == field_from_d(2)
+    assert geodesic_class(66).field == field_from_d(17)
+    assert geodesic_class(100).field == field_from_d(51)
 
 
 def test_invariant_trace_field_coincidence():
@@ -79,7 +78,7 @@ def test_invariant_trace_field_coincidence():
     for t in range(3, 10**3 + 1):
         t2, fld = invariant_trace_data(t)
         assert t2 == t * t - 2
-        assert fld == embedding_field(t)
+        assert fld == geodesic_class(t).field
         assert squarefree_part(t * t - 4)[0] == squarefree_part(t2 * t2 - 4)[0]
 
 
