@@ -13,12 +13,15 @@ from commcensus.quadratic import field_from_d
 one = [field_from_d(3)]
 two = [field_from_d(3), field_from_d(17)]
 
-print(f"{'fields':>8} {'X':>9} {'Y':>8} {'actual':>7} {'predicted':>10} {'ratio':>7}")
-for fields, tag in [(one, "sqrt3"), (two, "3,17")]:
-    for x, y in [(10**4, 10**3), (10**5, 10**4), (10**6, 10**5)]:
+# The last row sieves only the 16 classes mod 204 where both characters
+# are -1, so 3e7 numbers near 1e9 take a fraction of a second.
+ranges = [(10**4, 10**3), (10**5, 10**4), (10**6, 10**5)]
+print(f"{'fields':>8} {'X':>10} {'Y':>8} {'actual':>7} {'predicted':>10} {'ratio':>7}")
+for fields, tag, rows in [(one, "sqrt3", ranges), (two, "3,17", ranges + [(10**9, 3 * 10**7)])]:
+    for x, y in rows:
         r = verify_chebotarev_interval(fields, x, y)
         print(
-            f"{tag:>8} {x:>9} {y:>8} {r.actual:>7} {r.predicted:>10.1f} {r.ratio:>7.3f}"
+            f"{tag:>8} {x:>10} {y:>8} {r.actual:>7} {r.predicted:>10.1f} {r.ratio:>7.3f}"
         )
 
 # Dependent characters are rejected: sqrt(30) lies in the compositum of

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -346,43 +346,66 @@ def _small_sieve(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0].astype(np.int64)
 
 
-def sieve_segment(lo: int, hi: int, base: np.ndarray | None = None) -> np.ndarray:
-    """Primes in [lo, hi] as a numpy array, for 2 <= lo <= hi.
+def _sieve_base(hi: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """The primes p <= sqrt(hi) not dividing modulus, and -1/modulus mod p for each."""
+    primes = _small_sieve(math.isqrt(hi) + 1)
+    primes = primes[modulus % primes != 0]
+    return primes, np.array([pow(-modulus, -1, p) for p in primes.tolist()], dtype=np.int64)
 
-    Independent per segment: safe to run segments in any order or in
-    parallel and merge by position.
+
+def sieve_segment(
+    lo: int, hi: int, base: tuple[np.ndarray, np.ndarray], modulus: int = 1, residue: int = 0
+) -> np.ndarray:
+    """Primes p in [lo, hi] with p = residue (mod modulus), ascending, for 2 <= lo <= hi.
+
+    Sieves one mask over n = residue + modulus*k. residue is coprime to
+    modulus, and base holds every prime p <= sqrt(hi) not dividing modulus
+    with its -1/modulus mod p: p divides n exactly when k = residue *
+    (-1/modulus) (mod p). Crossing out starts at p**2, so p itself survives.
     """
-    if base is None:
-        base = _small_sieve(math.isqrt(hi) + 1)
-    width = hi - lo + 1
-    mask = np.ones(width, dtype=bool)
-    for p in base:
-        p = int(p)
-        if p * p > hi:
-            break
-        start = max(p * p, ((lo + p - 1) // p) * p)
-        mask[start - lo :: p] = False
-    if lo <= 1:
-        mask[: 2 - lo] = False
-    return (np.nonzero(mask)[0] + lo).astype(np.int64)
+    k_lo = -((residue - lo) // modulus)
+    width = (hi - residue) // modulus - k_lo + 1
+    primes, hops = base
+    n = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
+    primes, hops = primes[:n], hops[:n]
+    k_first = np.maximum(k_lo, -((residue - primes * primes) // modulus))
+    k_first += (residue % primes * hops - k_first) % primes
+    mask = np.ones(max(width, 0), dtype=bool)
+    for offset, p in zip((k_first - k_lo).tolist(), primes.tolist()):
+        mask[offset::p] = False
+    return residue + modulus * (np.nonzero(mask)[0] + k_lo)
 
 
-def prime_segments(lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Yield the primes in [lo, hi] as ascending numpy blocks of 2**19 numbers each.
+def prime_segments(
+    lo: int, hi: int, modulus: int = 1, residues: Iterable[int] = (0,)
+) -> Iterator[np.ndarray]:
+    """Yield the primes p in [lo, hi] with p mod modulus in residues, in ascending blocks.
 
-    Segmented sieve: the base primes up to sqrt(hi) are sieved once, and
-    memory stays O(sqrt(hi) + 2**19) no matter how wide the range is.
-    Bounds are validated eagerly, before iteration.
+    Segmented sieve over arithmetic progressions: the range is cut into
+    stretches of modulus * 2**19 numbers, and each residue takes one
+    sieve_segment pass of 2**19 numbers per stretch. Blocks come stretch by
+    stretch and, within one, residue by residue, so they ascend throughout
+    only for a single residue; the plain sieve is modulus 1, residue 0. The
+    base primes up to sqrt(hi) are sieved once, and memory stays
+    O(sqrt(hi) + 2**19) no matter how wide the range is. Arguments are
+    validated eagerly, before iteration: the residues must be distinct, in
+    [0, modulus) and coprime to modulus.
     """
     if lo < 2 or hi < lo:
         raise DomainError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
+    residues = sorted(residues)
+    if modulus < 1 or not residues or len(set(residues)) != len(residues):
+        raise DomainError(f"need modulus >= 1 and distinct residues, got {modulus}, {residues}")
+    if not all(0 <= r < modulus and math.gcd(r, modulus) == 1 for r in residues):
+        raise DomainError(f"residues must be units mod {modulus}, got {residues}")
 
     def gen() -> Iterator[np.ndarray]:
-        base = _small_sieve(math.isqrt(hi) + 1)
+        base = _sieve_base(hi, modulus)
         start = lo
         while start <= hi:
-            end = min(start + _SEGMENT - 1, hi)
-            yield sieve_segment(start, end, base)
+            end = min(start + modulus * _SEGMENT - 1, hi)
+            for r in residues:
+                yield sieve_segment(start, end, base, modulus, r)
             start = end + 1
 
     return gen()

@@ -217,10 +217,44 @@ def test_sieve_segment_matches_unsegmented():
     assert all(block[-1] < nxt[0] for block, nxt in zip(blocks, blocks[1:]))
     assert [int(p) for block in blocks for p in block] == whole
     assert _primes(2, 1_200_000) == whole
+    small = oracles.sieve_upto(math.isqrt(10**5)).astype(np.int64)
+    base = (small, small - 1)  # -1/1 mod p
     pieces = []
     for lo in range(2, 10**5 + 1, 1000):
-        pieces.extend(int(p) for p in sieve_segment(lo, min(lo + 999, 10**5)))
+        pieces.extend(int(p) for p in sieve_segment(lo, min(lo + 999, 10**5), base))
     assert pieces == [p for p in whole if p <= 10**5]
+
+
+@pytest.mark.parametrize("modulus", [1, 8, 12, 84, 204])
+def test_prime_segments_progressions_match_sieve(modulus):
+    """Every unit class mod modulus, and subsets of them, against one flat sieve.
+
+    Each block ascends, and a single residue's blocks ascend throughout.
+    lo = 2 puts base primes inside the progressions; 1_000_003 and
+    4_999_999 are prime; [2, 5e6] mod 8 is 625_000 numbers per class, more
+    than one 2**19 block.
+    """
+    whole = oracles.sieve_upto(5_000_000)
+    units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
+    rng = random.Random(modulus)
+    picks = [units, units[::2], [rng.choice(units)]]
+    for lo, hi in [(2, 5_000_000), (1_000_003, 4_999_999), (2, 2), (3, 400), (1_000_004, 1_000_030)]:
+        for residues in picks:
+            blocks = list(prime_segments(lo, hi, modulus, residues))
+            got = np.concatenate([np.empty(0, np.int64), *blocks])
+            want = whole[(whole >= lo) & (whole <= hi) & np.isin(whole % modulus, residues)]
+            assert np.sort(got).tolist() == want.tolist(), (lo, hi, residues)
+            if len(residues) == 1:
+                assert got.tolist() == want.tolist()
+            assert all(b.dtype == np.int64 and np.all(b[:-1] < b[1:]) for b in blocks)
+    if modulus == 8:
+        assert len(list(prime_segments(2, 5_000_000, 8, [1]))) == 2
+
+
+def test_prime_segments_rejects_bad_residues():
+    for modulus, residues in [(12, (2,)), (12, (13,)), (12, (-1,)), (8, ()), (8, (1, 1)), (0, (0,))]:
+        with pytest.raises(DomainError):
+            prime_segments(2, 100, modulus, residues)
 
 
 def test_is_square():

@@ -10,10 +10,11 @@ import random
 import time
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import oracles
-from commcensus import census
+from commcensus import arith, census
 from commcensus.arith import is_square, kronecker
 from commcensus.census import (
     InfiniteCensusError,
@@ -337,6 +338,58 @@ def test_nonsplit_pool_past_table_bound():
         assert pool == oracles.nonsplit_scan([f.disc for f in fields], 10**4)
 
 
+def _sieve_moduli(monkeypatch) -> list[int]:
+    """Record the modulus of every arith.sieve_segment pass from here on."""
+    moduli = []
+    sieve_segment = arith.sieve_segment
+
+    def counting(lo, hi, base, modulus=1, residue=0):
+        moduli.append(modulus)
+        return sieve_segment(lo, hi, base, modulus, residue)
+
+    monkeypatch.setattr(arith, "sieve_segment", counting)
+    return moduli
+
+
+@pytest.mark.parametrize(
+    "traces, routes",
+    [
+        ((4,), {10**4: 1, 10**6: 12}),
+        ((4, 5), {10**4: 1, 10**6: 1, 3_200_000: 84}),
+        ((3, 6), {10**4: 1, 10**6: 1}),
+        ((4, 5, 7), {10**4: 1, 10**6: 1}),
+    ],
+)
+def test_nonsplit_pool_matches_scan_on_both_routes(monkeypatch, traces, routes):
+    """The pool equals a per-prime Euler-criterion scan, progressions or filter.
+
+    routes maps N to the modulus sieved: 1 for the plain sieve and the
+    character filter, lcm(discs) for the inert classes plus the ramified primes.
+    """
+    fields = spectrum_from_inputs(traces=list(traces)).fields()
+    scan = oracles.nonsplit_scan([f.disc for f in fields], max(routes))
+    moduli = _sieve_moduli(monkeypatch)
+    for n, modulus in routes.items():
+        moduli.clear()
+        pool = census._nonsplit_pool(fields, n)
+        assert pool.dtype == np.int64
+        assert pool.tolist() == [p for p in scan if p <= n], n
+        assert set(moduli) == {modulus}, n
+
+
+def test_nonsplit_pool_of_finite_system(monkeypatch):
+    """Q(sqrt 2), Q(sqrt 3), Q(sqrt 6): no class mod 24 is inert in all three.
+
+    The route still sieves mod 24 (R = 8/2**2 = 2 <= 3 plain passes to
+    1.1e6), finds no class to sieve, and the pool is the ramified primes.
+    """
+    fields = tuple(field_from_d(d) for d in (2, 3, 6))
+    moduli = _sieve_moduli(monkeypatch)
+    pool = census._nonsplit_pool(fields, 1_100_000).tolist()
+    assert pool == oracles.nonsplit_scan([8, 12, 24], 1_100_000) == list(nonsplit_primes(fields))
+    assert moduli == []
+
+
 def test_census_leaves_no_reference_cycles():
     spec = spectrum_from_inputs(traces=[4])
     gc.collect()
@@ -510,6 +563,43 @@ def test_chebotarev_recount_across_segments():
         if p >= 10**6 and all(oracles.split_at(f.disc, p) == -1 for f in fields)
     )
     assert rep.actual == manual
+
+
+def _inert_recount(discs, lo, hi) -> int:
+    primes = oracles.sieve_upto(hi)
+    return sum(
+        1
+        for p in map(int, primes[primes >= lo])
+        if all(oracles.split_at(d, p) == -1 for d in discs)
+    )
+
+
+def test_chebotarev_recount_on_both_routes(monkeypatch):
+    """(3,) sieves the 2 classes of inert primes mod 12; (3, 1000003) filters.
+
+    Q(sqrt 1000003) has discriminant 4000012 > 2**20, so its classes mod
+    12000036 are never listed, and its ramified prime lies inside the range.
+    """
+    moduli = _sieve_moduli(monkeypatch)
+    rep = verify_chebotarev_interval((field_from_d(3),), 1_500_000, 1_500_000)
+    assert rep.actual == _inert_recount([12], 1_500_000, 3_000_000)
+    assert moduli == [12, 12]
+    moduli.clear()
+    fields = (field_from_d(3), field_from_d(1_000_003))
+    rep = verify_chebotarev_interval(fields, 10**6, 10**5)
+    assert rep.actual == _inert_recount([12, 4_000_012], 10**6, 10**6 + 10**5)
+    assert moduli == [1]
+
+
+def test_chebotarev_sieve_passes_at_benchmark_inputs(monkeypatch):
+    """(3, 17) on [1e9, 1.03e9]: 16 inert classes mod 204, one pass each.
+
+    The plain sieve takes ceil(3e7 / 2**19) = 58 passes over every number.
+    """
+    moduli = _sieve_moduli(monkeypatch)
+    rep = verify_chebotarev_interval((field_from_d(3), field_from_d(17)), 10**9, 3 * 10**7)
+    assert rep.actual == 361_774
+    assert moduli == [204] * 16
 
 
 def test_chebotarev_rejections():
