@@ -14,7 +14,7 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,28 +78,43 @@ def _character_generators(prime_disc: int) -> tuple[int, ...]:
     return (prime_disc,)
 
 
-def _field_vectors(fields) -> tuple[list[int], dict[int, int]]:
-    """F2 character vectors of the fields over independent generator columns."""
-    cols: dict[int, int] = {}
-    vecs = []
-    for fld in fields:
-        v = 0
-        for pd in prime_disc_vector(fld):
-            for gen in _character_generators(pd):
-                if gen not in cols:
-                    cols[gen] = len(cols)
-                v ^= 1 << cols[gen]
-        vecs.append(v)
-    return vecs, cols
+class _System(NamedTuple):
+    """A field system and its discriminant characters, derived once per call."""
+
+    fields: tuple[QuadField, ...]
+    prime_discs: list[frozenset[int]]  # prime_disc_vector of each field
+    vecs: list[int]  # F2 character vector of each field over the generator columns
+    cols: dict[int, int]  # generator -> column
+    kernel: list[int]  # gf2.left_kernel(vecs)
+    rank: int
+    finite: bool  # some odd-sized kernel relation
+    ramified: list[int]  # primes dividing some disc, ascending
 
 
-def _check_fields(fields) -> tuple[QuadField, ...]:
+def _system(fields) -> _System:
+    """Validate the fields; factor each disc once and eliminate over GF(2) once.
+
+    The rank is s minus the kernel dimension, and the ramified primes are
+    read off the generator columns: |q| for odd q, 2 for -4 and 8.
+    """
     fields = tuple(fields)
     if not fields:
         raise DomainError("need at least one field")
     if len(set(fields)) != len(fields):
         raise DomainError("fields must be pairwise distinct")
-    return fields
+    pds = [prime_disc_vector(fld) for fld in fields]
+    cols: dict[int, int] = {}
+    vecs = []
+    for field_pds in pds:
+        v = 0
+        for pd in field_pds:
+            for gen in _character_generators(pd):
+                v ^= 1 << cols.setdefault(gen, len(cols))
+        vecs.append(v)
+    kernel = gf2.left_kernel(vecs)
+    finite = any(combo.bit_count() % 2 for combo in kernel)
+    ramified = sorted({abs(gen) if gen % 2 else 2 for gen in cols})
+    return _System(fields, pds, vecs, cols, kernel, len(fields) - len(kernel), finite, ramified)
 
 
 def nonsplit_is_finite(fields) -> FinitenessVerdict:
@@ -109,23 +124,23 @@ def nonsplit_is_finite(fields) -> FinitenessVerdict:
     discriminant product (their characters multiply to the trivial one, so
     a prime inert everywhere would have to satisfy (-1)**odd = +1).
     """
-    fields = _check_fields(fields)
-    vecs, cols = _field_vectors(fields)
-    for combo in gf2.left_kernel(vecs):
+    return _verdict(_system(fields))
+
+
+def _verdict(system: _System) -> FinitenessVerdict:
+    for combo in system.kernel:
         if combo.bit_count() % 2:
-            witness = tuple(i for i in range(len(fields)) if combo >> i & 1)
+            witness = tuple(i for i in range(len(system.fields)) if combo >> i & 1)
             return FinitenessVerdict(finite=True, square_witness=witness)
-    x = gf2.solve(vecs, [1] * len(vecs))
+    x = gf2.solve(system.vecs, [1] * len(system.vecs))
     if x is None:
         raise RuntimeError("no odd kernel relation yet all-ones system insolvable")
-    sign_of_gen = {gen: -1 if x >> bit & 1 else 1 for gen, bit in cols.items()}
-    witness = {}
-    for fld in fields:
-        for pd in prime_disc_vector(fld):
-            s = 1
-            for gen in _character_generators(pd):
-                s *= sign_of_gen[gen]
-            witness[pd] = s
+    sign_of_gen = {gen: -1 if x >> bit & 1 else 1 for gen, bit in system.cols.items()}
+    witness = {
+        pd: math.prod(sign_of_gen[gen] for gen in _character_generators(pd))
+        for pds in system.prime_discs
+        for pd in pds
+    }
     return FinitenessVerdict(finite=False, sign_witness=witness)
 
 
@@ -136,26 +151,22 @@ def nonsplit_primes(fields) -> tuple[int, ...]:
     unramified everywhere and inert everywhere would contradict the finite
     verdict. Rejects field systems with an infinite nonsplit set.
     """
-    fields = _check_fields(fields)
-    return _nonsplit_primes(fields, nonsplit_is_finite(fields))
+    system = _system(fields)
+    return _nonsplit_primes(system, _verdict(system))
 
 
-def _nonsplit_primes(fields, verdict: FinitenessVerdict) -> tuple[int, ...]:
+def _nonsplit_primes(system: _System, verdict: FinitenessVerdict) -> tuple[int, ...]:
     if not verdict.finite:
-        raise InfiniteCensusError(
-            "infinitely many primes are nonsplit in every field", verdict
-        )
-    out = [
-        p
-        for p in _ramified(fields)
-        if all(splitting(fld, p) is not SplitType.SPLIT for fld in fields)
+        raise InfiniteCensusError("infinitely many primes are nonsplit in every field", verdict)
+    return tuple(_ramified_nonsplit(system))
+
+
+def _ramified_nonsplit(system: _System) -> list[int]:
+    """The ramified primes splitting in none of the fields, ascending."""
+    return [
+        p for p in system.ramified
+        if all(splitting(fld, p) is not SplitType.SPLIT for fld in system.fields)
     ]
-    return tuple(out)
-
-
-def _ramified(fields) -> list[int]:
-    """The primes dividing some field discriminant, ascending."""
-    return sorted({p for fld in fields for p in factorize(fld.disc).primes()})
 
 
 @dataclass(frozen=True)
@@ -186,16 +197,16 @@ def count_algebras(fields) -> CensusReport:
     total is 2**(m-1) for m >= 1 nonsplit primes (1 when m = 0: only the
     matrix algebra), and all but the empty set are division algebras.
     """
-    fields = _check_fields(fields)
-    verdict = nonsplit_is_finite(fields)
-    s0 = _nonsplit_primes(fields, verdict)
+    system = _system(fields)
+    verdict = _verdict(system)
+    s0 = _nonsplit_primes(system, verdict)
     fac = [p - 1 for p in s0]
     classes = _classes(fac, math.prod(fac))
     expected = 2 ** (len(s0) - 1) if s0 else 1
     if len(classes) != expected:
         raise RuntimeError("even-subset count mismatch")
     return CensusReport(
-        fields=fields,
+        fields=system.fields,
         verdict=verdict,
         nonsplit=s0,
         classes=tuple(classes),
@@ -203,27 +214,19 @@ def count_algebras(fields) -> CensusReport:
     )
 
 
-def _characters(fields) -> list[tuple[int, np.ndarray | None]]:
-    """(disc, character table) per field; no table for a disc past 2**20."""
-    return [(f.disc, character_table(f.disc) if f.disc <= 1 << 20 else None) for f in fields]
-
-
-def _characters_below(ps: np.ndarray, chars, bound: int) -> np.ndarray:
-    """Mask of the primes in ps at which every field's character is below bound.
-
-    bound 1 keeps the primes split in no field, bound 0 the primes inert in all.
-    """
+def _inert_mask(ps: np.ndarray, chars) -> np.ndarray:
+    """Mask of the numbers in ps at which every character is -1; no table past 2**20."""
     keep = np.ones(len(ps), dtype=bool)
     for disc, table in chars:
         if table is None:
             vals = np.fromiter((kronecker(disc, int(p)) for p in ps), np.int8, len(ps))
         else:
             vals = table[ps % disc]
-        keep &= vals < bound
+        keep &= vals < 0
     return keep
 
 
-def _inert_blocks(fields, chars, lo: int, hi: int) -> Iterator[np.ndarray]:
+def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
     """Blocks of the primes in [lo, hi] inert in every field, each ascending.
 
     Those primes lie in the unit classes mod M = lcm(discs) at which every
@@ -233,31 +236,33 @@ def _inert_blocks(fields, chars, lo: int, hi: int) -> Iterator[np.ndarray]:
     take one pass per 2**19. Route to whichever makes fewer passes,
     deciding before anything M long exists.
     """
-    modulus = math.lcm(*(fld.disc for fld in fields))
+    if system.finite:
+        return
+    discs = [fld.disc for fld in system.fields]
+    modulus = math.lcm(*discs)
     units = modulus
-    for p in _ramified(fields):
+    for p in system.ramified:
         units = units // p * (p - 1)
-    classes = units >> gf2.rank(_field_vectors(fields)[0])
+    classes = units >> system.rank
     span = hi - lo + 1
     passes = classes * -(-span // (modulus * _SEGMENT))
+    chars = [(disc, character_table(disc) if disc <= 1 << 20 else None) for disc in discs]
     if passes > -(-span // _SEGMENT):
         for ps in prime_segments(lo, hi):
-            yield ps[_characters_below(ps, chars, 0)]
+            yield ps[_inert_mask(ps, chars)]
         return
-    residues = np.flatnonzero(_characters_below(np.arange(modulus), chars, 0)).tolist()
+    residues = np.flatnonzero(_inert_mask(np.arange(modulus), chars)).tolist()
     if residues:
         yield from prime_segments(lo, hi, modulus, residues)
 
 
-def _nonsplit_pool(fields, pmax: int) -> np.ndarray:
+def _nonsplit_pool(system: _System, pmax: int) -> np.ndarray:
     """Primes p <= pmax splitting in none of the fields, ascending.
 
     The unramified ones are inert in every field; the ramified ones are sorted in.
     """
-    chars = _characters(fields)
-    ramified = np.array([p for p in _ramified(fields) if p <= pmax], dtype=np.int64)
-    ramified = ramified[_characters_below(ramified, chars, 1)]
-    blocks = _inert_blocks(fields, chars, 2, pmax)
+    ramified = np.array([p for p in _ramified_nonsplit(system) if p <= pmax], dtype=np.int64)
+    blocks = _inert_blocks(system, 2, pmax)
     return np.sort(np.concatenate([ramified, *blocks]), kind="stable")
 
 
@@ -295,12 +300,9 @@ def _cutoff(volume: float | Fraction) -> int:
         bits *= 2
 
 
-def _ram_factors(fields, top: int) -> list[int]:
+def _ram_factors(system: _System, top: int) -> list[int]:
     """Ascending factors p - 1 of the primes a class within cutoff top may ramify at."""
-    verdict = nonsplit_is_finite(fields)
-    if verdict.finite:
-        return [p - 1 for p in _nonsplit_primes(fields, verdict)]
-    return (_nonsplit_pool(fields, max(top + 1, 2)) - 1).tolist()
+    return (_nonsplit_pool(system, max(top + 1, 2)) - 1).tolist()
 
 
 def _odd_nodes(fac: list[int], top: int):
@@ -373,9 +375,9 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]
         raise DomainError(f"volume bound must be positive, got {volume}")
     if not math.isfinite(volume):
         raise DomainError(f"volume bound must be finite, got {volume}")
-    fields = _check_fields(spec.fields())
+    system = _system(spec.fields())
     top = _cutoff(volume)
-    classes = _classes(_ram_factors(fields, top), top)
+    classes = _classes(_ram_factors(system, top), top)
     return len(classes), classes
 
 
@@ -410,10 +412,10 @@ def short_interval_delta(spec: SpectrumSpec, volume: float, window: float) -> In
         raise DomainError(f"window {window} must be smaller than volume {volume}")
     if not math.isfinite(volume) or volume == 1:
         raise DomainError(f"need a finite volume other than 1 (ln V = 0), got {volume}")
-    fields = _check_fields(spec.fields())
+    system = _system(spec.fields())
     r = len(spec.classes)
     cutoffs = [_cutoff(volume), _cutoff(Fraction(volume) + Fraction(window))]
-    c_lo, c_hi = _count_even_ram_sets(_ram_factors(fields, cutoffs[-1]), cutoffs)
+    c_lo, c_hi = _count_even_ram_sets(_ram_factors(system, cutoffs[-1]), cutoffs)
     bound = window / (2**r * math.log(volume))
     return IntervalReport(
         traces=spec.traces(),
@@ -449,6 +451,8 @@ def construct_family(n: int, search_bound: int = 10**6) -> FamilyResult:
     """
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
+    if search_bound < 2:
+        raise DomainError(f"need search_bound >= 2, got {search_bound}")
     m = n + 2
     primes: list[int] = []
     blocks = prime_segments(2, search_bound, 8, (1,))
@@ -545,27 +549,21 @@ def verify_chebotarev_interval(fields, x: int, y: int) -> ChebotarevReport:
     Requires independent discriminant characters (a dependent or finite
     system has the wrong density and is rejected) and X >= 1000, 0 < Y <= X.
     """
-    fields = _check_fields(fields)
     if x < 1000:
         raise DomainError(f"need X >= 1000, got {x}")
     if not 0 < y <= x:
         raise DomainError(f"need 0 < Y <= X, got Y={y}")
-    vecs, _ = _field_vectors(fields)
-    if gf2.rank(vecs) != len(fields):
-        verdict = nonsplit_is_finite(fields)
-        if verdict.finite:
-            raise DomainError(
-                "nonsplit set is finite for these fields; no inert density to verify"
-            )
-        raise DomainError(
-            "discriminant characters are dependent; the inert density is not 1/2**s"
-        )
-    actual = sum(len(ps) for ps in _inert_blocks(fields, _characters(fields), x, x + y))
-    s = len(fields)
+    system = _system(fields)
+    s = len(system.fields)
+    if system.finite:
+        raise DomainError("nonsplit set is finite for these fields; no inert density to verify")
+    if system.rank != s:
+        raise DomainError("discriminant characters are dependent; the inert density is not 1/2**s")
+    actual = sum(len(ps) for ps in _inert_blocks(system, x, x + y))
     predicted = y / (2**s * math.log(x))
     theta = 8.0 / 3.0 if s == 1 else 1.0 / 2**s
     return ChebotarevReport(
-        fields=fields,
+        fields=system.fields,
         x=x,
         y=y,
         actual=actual,

@@ -208,6 +208,8 @@ def coarea_general(n_k: int, d_k: int, zeta_k2: float, prime_norms) -> float:
         raise DomainError("need degree >= 1 and positive discriminant")
     if not zeta_k2 > 1.0:
         raise DomainError(f"zeta_k(2) must exceed 1, got {zeta_k2}")
+    if not math.isfinite(zeta_k2):
+        raise DomainError(f"zeta_k(2) must be finite, got {zeta_k2}")
     prod = 1
     for nm in prime_norms:
         nm = int(nm)
@@ -215,7 +217,13 @@ def coarea_general(n_k: int, d_k: int, zeta_k2: float, prime_norms) -> float:
         if nm < 2 or len(fact) != 1:
             raise DomainError(f"prime norm {nm} is not a prime power")
         prod *= nm - 1
-    return 8 * math.pi * d_k**1.5 * zeta_k2 / (4 * math.pi**2) ** n_k * prod
+    try:
+        value = 8 * math.pi * d_k**1.5 * zeta_k2 / (4 * math.pi**2) ** n_k * prod
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise DomainError("coarea overflows the float range")
+    return value
 
 
 def zeta_k2_real_quadratic(D: int) -> float:

@@ -38,6 +38,11 @@ def trace_to_length(t: int) -> float:
     return 2.0 * math.acosh(t / 2.0)
 
 
+def _check_tol(tol: float) -> None:
+    if not 0.0 <= tol < math.inf:
+        raise DomainError(f"tol must be finite and non-negative, got {tol}")
+
+
 def length_to_trace(length: float, tol: float = DEFAULT_TOL) -> int:
     """Integer trace whose geodesic length matches `length` within tol.
 
@@ -46,8 +51,10 @@ def length_to_trace(length: float, tol: float = DEFAULT_TOL) -> int:
     Raises NotRealizableError when the widened band holds no integer >= 3,
     or when that rounding error alone reaches 1/2, so that the length can no
     longer pin down an integer; raises DomainError for non-positive lengths,
-    which are not lengths of closed geodesics at all.
+    which are not lengths of closed geodesics at all, and for a NaN,
+    infinite or negative tol.
     """
+    _check_tol(tol)
     if not length > 0.0:
         raise DomainError(f"geodesic length must be positive, got {length}")
     if not math.isfinite(length):
@@ -131,6 +138,7 @@ def spectrum_from_inputs(
     Q(sqrt(r)): the trace of the fundamental norm-one unit of the maximal
     order. Errors carry the index of the offending entry in its input list.
     """
+    _check_tol(tol)
     found: set[int] = set()
     for i, t in enumerate(traces or ()):
         if t != int(t) or t < 3:

@@ -7,6 +7,7 @@ import gc
 import itertools
 import math
 import random
+import sys
 import time
 from fractions import Fraction
 
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from commcensus import arith, census
+from commcensus import arith, census, gf2
 from commcensus.arith import is_square, kronecker
 from commcensus.census import (
     InfiniteCensusError,
@@ -334,7 +335,7 @@ def test_nonsplit_pool_past_table_bound():
     big = field_from_d(1_000_003)
     assert big.disc > 1 << 20
     for fields in ((big,), (field_from_d(3), big)):
-        pool = census._nonsplit_pool(fields, 10**4).tolist()
+        pool = census._nonsplit_pool(census._system(fields), 10**4).tolist()
         assert pool == oracles.nonsplit_scan([f.disc for f in fields], 10**4)
 
 
@@ -371,7 +372,7 @@ def test_nonsplit_pool_matches_scan_on_both_routes(monkeypatch, traces, routes):
     moduli = _sieve_moduli(monkeypatch)
     for n, modulus in routes.items():
         moduli.clear()
-        pool = census._nonsplit_pool(fields, n)
+        pool = census._nonsplit_pool(census._system(fields), n)
         assert pool.dtype == np.int64
         assert pool.tolist() == [p for p in scan if p <= n], n
         assert set(moduli) == {modulus}, n
@@ -380,14 +381,92 @@ def test_nonsplit_pool_matches_scan_on_both_routes(monkeypatch, traces, routes):
 def test_nonsplit_pool_of_finite_system(monkeypatch):
     """Q(sqrt 2), Q(sqrt 3), Q(sqrt 6): no class mod 24 is inert in all three.
 
-    The route still sieves mod 24 (R = 8/2**2 = 2 <= 3 plain passes to
-    1.1e6), finds no class to sieve, and the pool is the ramified primes.
+    A finite system has no inert primes to sieve for, so nothing is sieved,
+    and the pool is the ramified primes. That holds as well for Q(sqrt 3),
+    Q(sqrt 1000003), Q(sqrt 3000009), whose R = phi(M)/4 classes mod
+    M = 12000036 would take the plain sieve.
     """
     fields = tuple(field_from_d(d) for d in (2, 3, 6))
     moduli = _sieve_moduli(monkeypatch)
-    pool = census._nonsplit_pool(fields, 1_100_000).tolist()
+    pool = census._nonsplit_pool(census._system(fields), 1_100_000).tolist()
     assert pool == oracles.nonsplit_scan([8, 12, 24], 1_100_000) == list(nonsplit_primes(fields))
     assert moduli == []
+    fields = tuple(field_from_d(d) for d in (3, 1_000_003, 3_000_009))
+    pool = census._nonsplit_pool(census._system(fields), 1_100_000).tolist()
+    scan = oracles.nonsplit_scan([f.disc for f in fields], 1_100_000)
+    assert pool == scan == list(nonsplit_primes(fields)) == [1_000_003]
+    assert moduli == []
+
+
+def _factored(monkeypatch) -> list[int]:
+    """Record every arith.factorize argument, under any name a commcensus module holds it."""
+    seen = []
+    factorize = arith.factorize
+
+    def counting(n, *args, **kwargs):
+        seen.append(n)
+        return factorize(n, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "commcensus" or name.startswith("commcensus."):
+            for key, value in list(vars(module).items()):
+                if value is factorize:
+                    monkeypatch.setattr(module, key, counting)
+    return seen
+
+
+def _gf2_calls(monkeypatch) -> list[str]:
+    """Record the name of every gf2 elimination from here on."""
+    seen = []
+    for name in gf2.__all__:
+        fn = getattr(gf2, name)
+        monkeypatch.setattr(gf2, name, lambda *a, _n=name, _f=fn: seen.append(_n) or _f(*a))
+    return seen
+
+
+def test_each_census_call_derives_the_fields_once(monkeypatch):
+    """One factorization per field disc and one left kernel per public call.
+
+    Only the sign witness of an infinite verdict adds a gf2.solve.
+    """
+    spec4 = spectrum_from_inputs(traces=[4])
+    spec45 = spectrum_from_inputs(traces=[4, 5])
+    pair = (field_from_d(3), field_from_d(17))
+    calls = [
+        (spec4.fields(), lambda: pi_of_V(spec4, 1e4), []),
+        (spec45.fields(), lambda: short_interval_delta(spec45, 1e5, 1e4), []),
+        (pair, lambda: verify_chebotarev_interval(pair, 10**4, 10**3), []),
+        (TRIPLE, lambda: count_algebras(TRIPLE), []),
+        (TRIPLE, lambda: nonsplit_primes(TRIPLE), []),
+        (TRIPLE, lambda: nonsplit_is_finite(TRIPLE), []),
+        (pair, lambda: nonsplit_is_finite(pair), ["solve"]),
+    ]
+    factored = _factored(monkeypatch)
+    eliminations = _gf2_calls(monkeypatch)
+    for fields, call, extra in calls:
+        factored.clear()
+        eliminations.clear()
+        call()
+        assert sorted(factored) == sorted(f.disc for f in fields)
+        assert eliminations == ["left_kernel", *extra]
+
+
+def test_pi_of_v_at_a_hard_discriminant(monkeypatch):
+    """The disc, squarefree t**2 - 4, has the prime factors 41, 59, 5308141,
+    30000000001, 70000000033 and 163546395203: about 0.3 s of rho per factorization.
+
+    The 84 pool primes below N + 1 are checked one by one, and the classes are
+    listed by products; even_subset_count would walk 2**84 subsets.
+    """
+    spec = spectrum_from_inputs(traces=[2100000001060000000035])
+    (fld,) = spec.fields()
+    n = oracles.coarea_cutoff(1e3)
+    pool = oracles.nonsplit_scan([fld.disc], n + 1)
+    want = len(oracles.even_subset_products([p - 1 for p in pool], n))
+    factored = _factored(monkeypatch)
+    count, classes = pi_of_V(spec, 1e3)
+    assert count == len(classes) == want == 181
+    assert factored == [fld.disc]
 
 
 def test_census_leaves_no_reference_cycles():
@@ -483,6 +562,9 @@ def test_construct_family_brute_prime_scan():
 def test_construct_family_rejections():
     with pytest.raises(DomainError):
         construct_family(-1)
+    for bound in (1, 0, -5):
+        with pytest.raises(DomainError, match="search_bound"):
+            construct_family(3, search_bound=bound)
     with pytest.raises(SearchExhaustedError) as info:
         construct_family(3, search_bound=50)
     assert info.value.bound == 50

@@ -171,6 +171,34 @@ def test_malformed_list_is_domain_error(capsys):
         assert flag in doc["error"]["message"] and token in doc["error"]["message"]
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
+def test_non_finite_floats_are_domain_errors(capsys):
+    """NaN, infinite or negative tol, an infinite zeta_k(2) and an overflowing coarea.
+
+    Each exits 2 with a document that parses as strict JSON (no NaN or Infinity).
+    """
+    for argv in (
+        ("spectra", "--lengths", "3.0", "--tol", "nan"),
+        ("spectra", "--traces", "4", "--tol", "inf"),
+        ("pi", "--lengths", "3.0", "--tol", "-1", "--volume", "10"),
+        ("volume", "--disc", "5", "--zeta2", "inf", "--degree", "3"),
+        ("volume", "--disc", "5", "--zeta2", "1e308", "--degree", "1"),
+        ("volume", "--disc", "5", "--zeta2", "2", "--degree", "400"),
+    ):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
+
+
+def test_family_search_bound_below_two(capsys):
+    code, doc = run_json(capsys, "family", "--n", "3", "--search-bound", "1")
+    assert (code, doc["error"]["type"]) == (2, "DomainError")
+    assert "search_bound" in doc["error"]["message"]
+
+
 def test_not_realizable_error_carries_position(capsys):
     code, doc = run_json(capsys, "spectra", "--lengths", "2.0")
     assert code == 2

@@ -237,6 +237,16 @@ def test_coarea_general_validation():
         coarea_general(1, 1, 0.99, [])
 
 
+def test_coarea_general_rejects_non_finite_values():
+    with pytest.raises(DomainError, match="finite"):
+        coarea_general(3, 5, math.inf, [])
+    for degree, zeta2 in ((1, 1e308), (400, 2.0)):
+        with pytest.raises(DomainError, match="overflow"):
+            coarea_general(degree, 5, zeta2, [])
+    with pytest.raises(DomainError, match="overflow"):
+        coarea_general(1, 10**400, 2.0, [])
+
+
 def test_zeta_k2_against_closed_forms():
     assert abs(zeta_k2_real_quadratic(5) - 2 * math.pi**4 / (75 * math.sqrt(5))) < 1e-10
     assert abs(zeta_k2_real_quadratic(8) - math.sqrt(2) * math.pi**4 / 96) < 1e-10

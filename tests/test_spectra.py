@@ -56,6 +56,16 @@ def test_length_to_trace_rejections():
         length_to_trace(2000.0)  # cosh(1000) overflows a float
 
 
+def test_tolerance_must_be_finite_and_non_negative():
+    good = trace_to_length(5)
+    for tol in (math.nan, math.inf, -1e-9):
+        with pytest.raises(DomainError, match="tol"):
+            length_to_trace(good, tol)
+        with pytest.raises(DomainError, match="tol"):
+            spectrum_from_inputs(traces=[4], tol=tol)
+    assert length_to_trace(good, 0.0) == 5
+
+
 def test_length_to_trace_tolerance_band():
     good = trace_to_length(5)
     assert length_to_trace(good + 1e-12) == 5
