@@ -2,14 +2,16 @@
 
 Everything here works on arbitrary-precision Python ints. Primality is
 deterministic below 2**64 (fixed Miller-Rabin witness set) and randomized
-with negligible error above. Factoring is trial division up to 10**6
-followed by Brent's variant of Pollard rho under an effort budget.
+with negligible error above. Factoring is trial division by the sieved
+primes up to 10**6, followed by Brent's variant of Pollard rho under an
+effort budget.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -71,7 +73,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -152,28 +154,21 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
 def factorize(n: int, budget: int = _DEFAULT_RHO_BUDGET) -> PrimeFactorization:
     """Full prime factorization of a nonzero integer.
 
-    Trial division below 10**6, then Pollard rho (Brent). `budget` caps the
-    total rho iterations; exceeding it raises FactorBudgetError rather than
-    silently returning a partial factorization.
+    Trial division by the primes up to 10**6, then Pollard rho (Brent).
+    `budget` caps the total rho iterations; exceeding it raises
+    FactorBudgetError rather than silently returning a partial factorization.
     """
     if n == 0:
         raise DomainError("0 has no prime factorization")
     value = n
     n = abs(n)
     factors: dict[int, int] = {}
-    for p in (2, 3, 5):
+    for p in _TRIAL_PRIMES:
+        if p * p > n:
+            break
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    # wheel over 6k+-1 candidates up to the trial bound
-    p = 7
-    step = 4
-    while p <= _TRIAL_BOUND and p * p <= n:
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-        p += step
-        step = 6 - step
     remaining = budget
     stack = [n] if n > 1 else []
     while stack:
@@ -201,9 +196,9 @@ def factorize(n: int, budget: int = _DEFAULT_RHO_BUDGET) -> PrimeFactorization:
     return PrimeFactorization(value, tuple(sorted(factors.items())))
 
 
-def squarefree_part(n: int, budget: int = _DEFAULT_RHO_BUDGET) -> tuple[int, int]:
+def squarefree_part(n: int) -> tuple[int, int]:
     """Split n = s * f**2 with s squarefree. Returns (s, f), sign carried by s."""
-    fact = factorize(n, budget)
+    fact = factorize(n)
     s, f = fact.sign, 1
     for p, e in fact.factors:
         if e % 2:
@@ -344,6 +339,10 @@ def _small_sieve(limit: int) -> np.ndarray:
         if mask[p]:
             mask[p * p :: p] = False
     return np.nonzero(mask)[0].astype(np.int64)
+
+
+# factorize's trial divisors: every prime up to the trial bound, sieved once at import
+_TRIAL_PRIMES = array("q", _small_sieve(_TRIAL_BOUND + 1).tobytes())
 
 
 def _sieve_base(hi: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:

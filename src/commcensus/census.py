@@ -252,8 +252,7 @@ def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
             yield ps[_inert_mask(ps, chars)]
         return
     residues = np.flatnonzero(_inert_mask(np.arange(modulus), chars)).tolist()
-    if residues:
-        yield from prime_segments(lo, hi, modulus, residues)
+    yield from prime_segments(lo, hi, modulus, residues)
 
 
 def _nonsplit_pool(system: _System, pmax: int) -> np.ndarray:
@@ -540,7 +539,6 @@ class ChebotarevReport:
     predicted: float
     ratio: float
     density: float
-    theta: float
 
 
 def verify_chebotarev_interval(fields, x: int, y: int) -> ChebotarevReport:
@@ -561,7 +559,6 @@ def verify_chebotarev_interval(fields, x: int, y: int) -> ChebotarevReport:
         raise DomainError("discriminant characters are dependent; the inert density is not 1/2**s")
     actual = sum(len(ps) for ps in _inert_blocks(system, x, x + y))
     predicted = y / (2**s * math.log(x))
-    theta = 8.0 / 3.0 if s == 1 else 1.0 / 2**s
     return ChebotarevReport(
         fields=system.fields,
         x=x,
@@ -570,5 +567,4 @@ def verify_chebotarev_interval(fields, x: int, y: int) -> ChebotarevReport:
         predicted=predicted,
         ratio=actual / predicted,
         density=1.0 / 2**s,
-        theta=theta,
     )

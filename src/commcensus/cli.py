@@ -288,7 +288,6 @@ def cmd_chebotarev(args) -> Report:
         "predicted": rep.predicted,
         "ratio": rep.ratio,
         "density": rep.density,
-        "theta": rep.theta,
     }
     return Report("chebotarev", inputs, result)
 

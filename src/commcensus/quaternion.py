@@ -213,8 +213,7 @@ def coarea_general(n_k: int, d_k: int, zeta_k2: float, prime_norms) -> float:
     prod = 1
     for nm in prime_norms:
         nm = int(nm)
-        fact = factorize(nm).factors
-        if nm < 2 or len(fact) != 1:
+        if nm < 2 or len(factorize(nm).factors) != 1:
             raise DomainError(f"prime norm {nm} is not a prime power")
         prod *= nm - 1
     try:

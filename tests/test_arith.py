@@ -71,6 +71,29 @@ def test_factorize_past_trial_bound():
     assert factorize(1000003**2).factors == ((1000003, 2),)
 
 
+def test_factorize_at_trial_bound():
+    """Prime factors on both sides of 10**6, small primes, and cofactors past 10**12."""
+    big = 10**12 + 39  # prime, above the trial bound squared
+    cases = {
+        999983: ((999983, 1),),  # largest prime below 10**6
+        1000003: ((1000003, 1),),  # smallest prime above it
+        999983**2: ((999983, 2),),
+        1000003**2: ((1000003, 2),),
+        999983 * 1000003: ((999983, 1), (1000003, 1)),
+        2**7 * 3**4 * 5**3 * big: ((2, 7), (3, 4), (5, 3), (big, 1)),
+        # near 10**40; the cofactor 1000003 * (2**89 - 1) is split by rho
+        2**4 * 999983 * 1000003 * (2**89 - 1): ((2, 4), (999983, 1), (1000003, 1), (2**89 - 1, 1)),
+    }
+    pool = [int(p) for p in oracles.sieve_upto(10**6) if p > 10**5]
+    rng = random.Random(10)
+    for _ in range(30):
+        ps = rng.choices(pool, k=rng.randint(1, 3))
+        expected = sorted((p, ps.count(p)) for p in set(ps)) + [(big, 1)]
+        cases[math.prod(ps) * big] = tuple(expected)
+    for n, expected in cases.items():
+        assert factorize(n).factors == expected, n
+
+
 def test_factorize_budget_exhaustion():
     with pytest.raises(FactorBudgetError):
         factorize(1000003 * 1000033, budget=1)

@@ -625,14 +625,12 @@ def test_chebotarev_matches_independent_recount():
     assert rep.actual == manual
     assert abs(rep.predicted - 10**3 / (4 * math.log(10**4))) < 1e-12
     assert rep.density == 0.25
-    assert rep.theta == 0.25
     assert rep.ratio == rep.actual / rep.predicted
 
 
 def test_chebotarev_single_field_metadata():
     rep = verify_chebotarev_interval((field_from_d(3),), 10**4, 10**3)
     assert rep.density == 0.5
-    assert abs(rep.theta - 8.0 / 3.0) < 1e-15
 
 
 def test_chebotarev_recount_across_segments():

@@ -171,6 +171,13 @@ def test_malformed_list_is_domain_error(capsys):
         assert flag in doc["error"]["message"] and token in doc["error"]["message"]
 
 
+def test_volume_rejects_norms_below_two(capsys):
+    for norm in ("0", "1", "-5"):
+        code, doc = run_json(capsys, "volume", "--disc", "5", "--norms", norm)
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), norm
+        assert doc["error"]["message"] == f"prime norm {norm} is not a prime power"
+
+
 def _reject_constant(token):
     raise ValueError(f"{token} is not valid JSON")
 
