@@ -346,10 +346,22 @@ _TRIAL_PRIMES = array("q", _small_sieve(_TRIAL_BOUND + 1).tobytes())
 
 
 def _sieve_base(hi: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
-    """The primes p <= sqrt(hi) not dividing modulus, and -1/modulus mod p for each."""
+    """The primes p <= sqrt(hi) not dividing modulus, and -1/modulus mod p for each.
+
+    The inverses are Fermat's a**(p-2) mod p for a = -modulus mod p, by
+    square-and-multiply over the whole array; p < 2**31 keeps every
+    product below 2**62.
+    """
     primes = _small_sieve(math.isqrt(hi) + 1)
     primes = primes[modulus % primes != 0]
-    return primes, np.array([pow(-modulus, -1, p) for p in primes.tolist()], dtype=np.int64)
+    a = -modulus % primes
+    exp = primes - 2
+    inv = np.ones_like(primes)
+    while exp.any():
+        inv = np.where(exp & 1, inv * a % primes, inv)
+        a = a * a % primes
+        exp >>= 1
+    return primes, inv
 
 
 def sieve_segment(
@@ -361,17 +373,37 @@ def sieve_segment(
     modulus, and base holds every prime p <= sqrt(hi) not dividing modulus
     with its -1/modulus mod p: p divides n exactly when k = residue *
     (-1/modulus) (mod p). Crossing out starts at p**2, so p itself survives.
+
+    A prime up to sqrt(width), the number of cells, clears many cells and
+    takes one slice assignment. The larger primes clear few cells each, so
+    their hits are built as one index array and cleared in one scatter: the
+    hits of each prime are a run of steps p, and a cumulative sum over the
+    steps, with each run's first step reset to jump to its first hit, gives
+    every index. That transient array holds about width * sum(1/p) int64
+    entries over the large primes, width * ln(ln(hi) / ln(width)): 2 MB for
+    a 2**19-cell pass at hi = 10**9 and 5 MB just below 2**62. (int32
+    indices would not save memory: numpy copies them to int64 to scatter.)
     """
     k_lo = -((residue - lo) // modulus)
-    width = (hi - residue) // modulus - k_lo + 1
+    width = max((hi - residue) // modulus - k_lo + 1, 0)
     primes, hops = base
     n = int(np.searchsorted(primes, math.isqrt(hi), side="right"))
     primes, hops = primes[:n], hops[:n]
     k_first = np.maximum(k_lo, -((residue - primes * primes) // modulus))
     k_first += (residue % primes * hops - k_first) % primes
-    mask = np.ones(max(width, 0), dtype=bool)
-    for offset, p in zip((k_first - k_lo).tolist(), primes.tolist()):
+    offsets = k_first - k_lo
+    mask = np.ones(width, dtype=bool)
+    split = int(np.searchsorted(primes, math.isqrt(width), side="right"))
+    for offset, p in zip(offsets[:split].tolist(), primes[:split].tolist()):
         mask[offset::p] = False
+    primes, offsets = primes[split:], offsets[split:]
+    counts = np.maximum(width - offsets + primes - 1, 0) // primes
+    hit = counts > 0
+    primes, offsets, counts = primes[hit], offsets[hit], counts[hit]
+    steps = np.repeat(primes, counts)
+    lasts = offsets + primes * (counts - 1)
+    steps[np.cumsum(counts) - counts] = offsets - np.concatenate(([0], lasts[:-1]))
+    mask[np.cumsum(steps, out=steps)] = False
     return residue + modulus * (np.nonzero(mask)[0] + k_lo)
 
 
@@ -385,13 +417,20 @@ def prime_segments(
     sieve_segment pass of 2**19 numbers per stretch. Blocks come stretch by
     stretch and, within one, residue by residue, so they ascend throughout
     only for a single residue; the plain sieve is modulus 1, residue 0. The
-    base primes up to sqrt(hi) are sieved once, and memory stays
-    O(sqrt(hi) + 2**19) no matter how wide the range is. Arguments are
-    validated eagerly, before iteration: the residues must be distinct, in
-    [0, modulus) and coprime to modulus.
+    base primes up to sqrt(hi) are sieved once. Within a pass the base
+    primes up to sqrt(2**19) cross out by slices and the larger ones by one
+    scatter of an index array (see sieve_segment), so memory stays
+    O(sqrt(hi) + 2**19) no matter how wide the range is; the index array
+    is transient and under 5 MB. Arguments are validated eagerly, before
+    iteration and before anything is allocated: hi must be below 2**62,
+    where the int64 products p**2 and the sieved values stop being exact,
+    and the residues must be distinct, in [0, modulus) and coprime to
+    modulus.
     """
     if lo < 2 or hi < lo:
         raise DomainError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
+    if hi >= 2**62:
+        raise DomainError(f"need hi < 2**62, got {hi}")
     residues = sorted(residues)
     if modulus < 1 or not residues or len(set(residues)) != len(residues):
         raise DomainError(f"need modulus >= 1 and distinct residues, got {modulus}, {residues}")

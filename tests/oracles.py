@@ -49,6 +49,20 @@ def sieve_upto(limit: int) -> np.ndarray:
     return np.nonzero(mask)[0]
 
 
+def sieve_between(lo: int, hi: int) -> np.ndarray:
+    """All primes in [lo, hi], 0 <= lo <= hi, from one flat mask.
+
+    Every prime p <= sqrt(hi) crosses out its multiples from p*p on, one
+    slice each, so it needs memory for hi - lo cells, not hi.
+    """
+    mask = np.ones(hi - lo + 1, dtype=bool)
+    mask[: max(2 - lo, 0)] = False
+    for p in sieve_upto(math.isqrt(hi)).tolist():
+        start = max(p * p, -(-lo // p) * p)
+        mask[start - lo :: p] = False
+    return lo + np.nonzero(mask)[0]
+
+
 # ---------------------------------------------------------------------------
 # quadratic characters from Euler's criterion, no reciprocity anywhere
 

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import oracles
+from commcensus import arith
 from commcensus.arith import (
     PellSolution,
     cf_sqrt,
@@ -22,7 +23,9 @@ from commcensus.arith import (
     sieve_segment,
     squarefree_part,
 )
+from commcensus.census import verify_chebotarev_interval
 from commcensus.errors import DomainError, FactorBudgetError
+from commcensus.quadratic import field_from_d
 
 
 def _primes(lo, hi):
@@ -278,6 +281,81 @@ def test_prime_segments_rejects_bad_residues():
     for modulus, residues in [(12, (2,)), (12, (13,)), (12, (-1,)), (8, ()), (8, (1, 1)), (0, (0,))]:
         with pytest.raises(DomainError):
             prime_segments(2, 100, modulus, residues)
+
+
+@pytest.mark.parametrize("modulus", [1, 8, 12, 84, 204])
+def test_sieve_base_inverses_match_pow(modulus):
+    primes, hops = arith._sieve_base(10**9, modulus)
+    small = oracles.sieve_upto(math.isqrt(10**9))
+    assert primes.tolist() == small[modulus % small != 0].tolist()
+    assert hops.dtype == np.int64
+    assert hops.tolist() == [pow(-modulus, -1, p) for p in primes.tolist()]
+
+
+def _progression(whole, lo, hi, modulus, residue):
+    return whole[(whole >= lo) & (whole <= hi) & (whole % modulus == residue)].tolist()
+
+
+def test_sieve_segment_large_primes_scatter():
+    """Base primes above sqrt(width) are crossed out by one scatter per pass.
+
+    Random progressions and widths; widths of 0, 1 and 2 cells, where every
+    base prime scatters and most first multiples lie past the end; and
+    progressions through base primes, which survive because crossing out
+    starts at p**2.
+    """
+    whole = oracles.sieve_upto(3_000_000)
+    rng = random.Random(11)
+    cases = []
+    for _ in range(300):
+        modulus = rng.choice([1, 2, 8, 12, 84, 204, 997, 30030])
+        residue = rng.choice([r for r in range(modulus) if math.gcd(r, modulus) == 1])
+        lo = rng.randint(2, 2_900_000)
+        width = rng.choice([0, 1, 2, 3, 10, 500, 70_000])
+        hi = min(lo + modulus * width + rng.randrange(modulus), 3_000_000)
+        cases.append((lo, hi, modulus, residue))
+    for start in (2, 1000, 999_983, 2_000_000):
+        cases += [(start, start, 1, 0), (start, start + 1, 1, 0)]
+        for modulus, residue in ((12, 11), (204, 13), (30030, 997)):
+            lo = start - start % modulus + residue + 1  # just past a member
+            for cells in (0, 1, 2):
+                cases.append((lo, lo + modulus * (cells + 1) - 2, modulus, residue))
+    for lo, hi, modulus, residue in cases:
+        got = sieve_segment(lo, hi, arith._sieve_base(hi, modulus), modulus, residue)
+        want = _progression(whole, lo, hi, modulus, residue)
+        assert got.tolist() == want, (lo, hi, modulus, residue)
+    # base primes past sqrt(width) in their own progressions: 43 = 3 (mod 8), 13, 997
+    for lo, hi, modulus, p in [(2, 10_000, 8, 43), (2, 30_000, 204, 13), (2, 10**6, 30030, 997)]:
+        assert math.isqrt((hi - lo) // modulus + 1) < p <= math.isqrt(hi)
+        assert p in sieve_segment(lo, hi, arith._sieve_base(hi, modulus), modulus, p % modulus)
+
+
+def test_sieve_segment_full_pass_near_1e9():
+    """One 2**19 pass near 10**9, modulus 1: about 3,400 base primes, most scattering."""
+    lo = 10**9 - 2**18
+    hi = lo + 2**19 - 1
+    base = arith._sieve_base(hi, 1)
+    got = sieve_segment(lo, hi, base)
+    assert got.tolist() == oracles.sieve_between(lo, hi).tolist()
+    for a, b in ((lo, lo + 1000), (hi - 1000, hi)):
+        assert got[(got >= a) & (got <= b)].tolist() == oracles.trial_primes(a, b)
+    assert [int(p) for block in prime_segments(lo, hi) for p in block] == got.tolist()
+
+
+def test_prime_segments_rejects_hi_past_int64(monkeypatch):
+    """hi >= 2**62 fails the eager check, before any base sieve is built."""
+
+    def no_base(hi, modulus):
+        raise AssertionError("the base sieve must not be built")
+
+    monkeypatch.setattr(arith, "_sieve_base", no_base)
+    cases = [(2, 2**62, 1, (0,)), (2**62, 2**62 + 5, 8, (1,)), (2, 2**64, 1, (0,))]
+    for lo, hi, modulus, residues in cases:
+        with pytest.raises(DomainError, match="2\\*\\*62"):
+            prime_segments(lo, hi, modulus, residues)
+    prime_segments(2**62 - 10, 2**62 - 1)  # accepted; never iterated
+    with pytest.raises(DomainError, match="2\\*\\*62"):
+        verify_chebotarev_interval((field_from_d(3), field_from_d(17)), 2**62, 1)
 
 
 def test_is_square():

@@ -293,6 +293,15 @@ def test_short_interval_consistency():
     assert rep.delta >= 0
 
 
+@pytest.mark.parametrize(
+    "traces, counts", [((4,), (13_106_231, 14_379_283)), ((4, 5), (3_714_885, 4_069_766))]
+)
+def test_short_interval_counts_at_1e8(traces, counts):
+    """V = 1e8, W = 1e7: full 2**19 pool passes, whose large base primes scatter."""
+    rep = short_interval_delta(spectrum_from_inputs(traces=list(traces)), 1e8, 1e7)
+    assert (rep.count_at_v, rep.count_at_v_plus_w) == counts
+
+
 def test_short_interval_finite_triple_matches_pi():
     spec = spectrum_from_inputs(radicands=[3, 17, 51])
     for volume, window in ((0.5, 0.4), (5.0, 4.0), (20.0, 15.0), (33.0, 1.0), (40.0, 30.0)):

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from commcensus import arith
 from commcensus.cli import main
 from commcensus.spectra import trace_to_length
 
@@ -157,6 +158,18 @@ def test_domain_error_exit_code(capsys):
     ):
         code, doc = run_json(capsys, *argv)
         assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
+
+
+def test_chebotarev_past_int64_is_domain_error(capsys, monkeypatch):
+    """X + Y >= 2**62 exits 2 before the base sieve of sqrt(X) is built."""
+
+    def no_base(hi, modulus):
+        raise AssertionError("the base sieve must not be built")
+
+    monkeypatch.setattr(arith, "_sieve_base", no_base)
+    code, doc = run_json(capsys, "chebotarev", "--radicands", "3", "--X", str(2**62), "--Y", "1")
+    assert (code, doc["error"]["type"]) == (2, "DomainError")
+    assert "2**62" in doc["error"]["message"]
 
 
 def test_malformed_list_is_domain_error(capsys):
