@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -30,7 +31,7 @@ from .census import (
 )
 from .errors import DomainError, NotRealizableError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, field_from_d, order_from_disc
-from .quaternion import RamSet, coarea_general, coarea_rational, zeta_k2_real_quadratic
+from .quaternion import PiMultiple, RamSet, coarea_general, coarea_rational, zeta_k_minus1
 from .spectra import DEFAULT_TOL, SpectrumSpec, spectrum_from_inputs
 
 log = logging.getLogger("commcensus")
@@ -252,26 +253,23 @@ def cmd_family(args) -> Report:
 def cmd_volume(args) -> Report:
     if args.ramified is not None:
         primes = _parse_list(args, "ramified")
-        inputs = {"ramified": primes}
         coarea = coarea_rational(RamSet(tuple(primes)))
-        result = {
-            "ram": primes,
-            "coarea_exact": str(coarea),
-            "coarea": coarea.value,
-        }
-        return Report("volume", inputs, result)
+        result = {"ram": primes, "coarea_exact": str(coarea), "coarea": coarea.value}
+        return Report("volume", {"ramified": primes}, result)
     if args.disc is None:
         raise DomainError("provide --ramified, or --disc with the general form")
-    degree = args.degree
-    zeta2 = args.zeta2
+    degree, zeta2, zeta_m1 = args.degree, args.zeta2, None
     if zeta2 is None:
         if degree != 2:
             raise DomainError("--zeta2 is required unless --degree 2")
-        zeta2 = zeta_k2_real_quadratic(args.disc)
+        zeta_m1 = zeta_k_minus1(args.disc)
+        zeta2 = 4 * math.pi**4 * float(zeta_m1) / args.disc**1.5  # zeta_k2_real_quadratic's value
     norms = _parse_list(args, "norms")
     inputs = {"degree": degree, "disc": args.disc, "zeta2": zeta2, "norms": norms}
-    value = coarea_general(degree, args.disc, zeta2, norms)
-    return Report("volume", inputs, {"coarea": value, "zeta2": zeta2})
+    result = {"coarea": coarea_general(degree, args.disc, zeta2, norms), "zeta2": zeta2}
+    if zeta_m1 is not None:  # Borel: 2 * pi * zeta_k(-1) * prod(N - 1)
+        result["coarea_exact"] = str(PiMultiple(2 * zeta_m1 * math.prod(n - 1 for n in norms)))
+    return Report("volume", inputs, result)
 
 
 def cmd_chebotarev(args) -> Report:

@@ -141,7 +141,7 @@ def spectrum_from_inputs(
     _check_tol(tol)
     found: set[int] = set()
     for i, t in enumerate(traces or ()):
-        if t != int(t) or t < 3:
+        if not 3 <= t < math.inf or t != int(t):
             raise DomainError(f"traces[{i}] = {t!r} is not an integer trace >= 3")
         found.add(int(t))
     for i, length in enumerate(lengths or ()):

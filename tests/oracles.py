@@ -488,6 +488,18 @@ def zeta_k2_euler(D: int, plimit: int = 3 * 10**7) -> float:
     return (math.pi**2 / 6.0) * math.exp(float(np.sum(logs)))
 
 
+def zeta_k_minus1_bernoulli(D: int) -> Fraction:
+    """zeta_k(-1) = zeta(-1) * L(-1, chi_D) = B_{2,chi}/24, in exact integers.
+
+    B_{2,chi} = D * sum_{a<=D} chi(a) * B_2(a/D) with B_2(x) = x**2 - x + 1/6,
+    and the constant term drops out because chi sums to 0 over a period.
+    """
+    chi = chi_table(D).tolist()
+    s2 = sum(chi[a % D] * a * a for a in range(1, D + 1))
+    s1 = sum(chi[a % D] * a for a in range(1, D + 1))
+    return (Fraction(s2, D) - s1) / 24
+
+
 # ---------------------------------------------------------------------------
 # even-subset census by direct enumeration
 

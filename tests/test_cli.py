@@ -8,6 +8,7 @@ import pytest
 
 from commcensus import arith
 from commcensus.cli import main
+from commcensus.quaternion import ZETA_DISC_BOUND
 from commcensus.spectra import trace_to_length
 
 
@@ -92,6 +93,7 @@ def test_volume_general_degree_two(capsys):
     assert code == 0
     assert doc["result"]["zeta2"] == pytest.approx(1.1616711956, abs=1e-9)
     assert doc["result"]["coarea"] == pytest.approx(math.pi / 15, rel=1e-9)
+    assert doc["result"]["coarea_exact"] == "pi/15"
 
 
 def test_chebotarev_command(capsys):
@@ -242,6 +244,14 @@ def test_search_exhaustion_exit_code(capsys):
     assert code == 3
     assert doc["error"]["type"] == "SearchExhaustedError"
     assert doc["error"]["bound"] == 50
+
+
+def test_volume_disc_past_zeta_budget_exit_code(capsys):
+    """The budget is checked first: a D past it exits 3 before it is even factored."""
+    code, doc = run_json(capsys, "volume", "--disc", str(ZETA_DISC_BOUND + 2))
+    assert code == 3
+    assert doc["error"]["type"] == "SearchExhaustedError"
+    assert doc["error"]["bound"] == ZETA_DISC_BOUND
 
 
 def test_argparse_rejects_missing_required(capsys):

@@ -3,11 +3,16 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import commcensus
 import oracles
 from commcensus.errors import DomainError
 from commcensus.quadratic import SplitType, field_from_d, splitting
@@ -23,6 +28,7 @@ from commcensus.quaternion import (
     from_hilbert,
     hilbert_local,
     zeta_k2_real_quadratic,
+    zeta_k_minus1,
 )
 
 
@@ -269,3 +275,32 @@ def test_zeta_k2_rejects_bad_discs():
     for bad in (1, 20, 45, 32, -4, 0, 13**2):
         with pytest.raises(DomainError):
             zeta_k2_real_quadratic(bad)
+
+
+def test_zeta_k_minus1_closed_forms():
+    assert zeta_k_minus1(5) == Fraction(1, 30)
+    assert zeta_k_minus1(8) == Fraction(1, 12)
+    assert zeta_k_minus1(12) == Fraction(1, 6)
+
+
+def test_zeta_k_minus1_matches_bernoulli_oracle():
+    """The divisor sum equals B_{2,chi}/24 exactly for every fundamental D < 2000."""
+    discs = []
+    for D in range(5, 2000):
+        try:
+            oracles.prime_disc_split(D)
+        except ValueError:
+            continue
+        if D % 4 in (0, 1):
+            discs.append(D)
+    assert len(discs) == 607
+    for D in discs:
+        assert zeta_k_minus1(D) == oracles.zeta_k_minus1_bernoulli(D), D
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, commcensus; print([m for m in sys.modules if m.split('.')[0] == 'scipy'])"
+    env = dict(os.environ, PYTHONPATH=str(Path(commcensus.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

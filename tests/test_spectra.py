@@ -152,6 +152,9 @@ def test_spectrum_error_tagging():
     assert "radicands[1]" in str(info2.value)
     with pytest.raises(DomainError):
         spectrum_from_inputs(traces=[2])
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match=r"traces\[1\] = .* is not an integer trace >= 3"):
+            spectrum_from_inputs(traces=[4, bad])
 
 
 def test_spectrum_fields_first_appearance_order():
