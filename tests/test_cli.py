@@ -7,6 +7,7 @@ import math
 import pytest
 
 from commcensus import arith
+from commcensus.census import CLASS_BUDGET
 from commcensus.cli import main
 from commcensus.quaternion import ZETA_DISC_BOUND
 from commcensus.spectra import trace_to_length
@@ -252,6 +253,29 @@ def test_volume_disc_past_zeta_budget_exit_code(capsys):
     assert code == 3
     assert doc["error"]["type"] == "SearchExhaustedError"
     assert doc["error"]["bound"] == ZETA_DISC_BOUND
+
+
+def test_count_past_class_budget_exit_code(capsys):
+    """Radicands p1, p1...p24 and p2...p24, for primes p = 1 mod 4 with (p | 5) = -1
+    after p1 = 5: each p is inert in Q(sqrt(5)) and, as 23 is odd, 5 is inert in
+    Q(sqrt(p2...p24)). All 24 primes are nonsplit: 2**23 classes, past the budget."""
+    primes = [5] + [p for p in range(13, 1000, 4) if arith.is_prime(p) and arith.kronecker(5, p) == -1][:23]
+    assert len(primes) == 24 and 2**23 > CLASS_BUDGET
+    radicands = [5, math.prod(primes), math.prod(primes[1:])]
+    code, doc = run_json(capsys, "count", "--radicands", ",".join(map(str, radicands)))
+    assert code == 3
+    assert doc["error"]["type"] == "SearchExhaustedError"
+    assert doc["error"]["bound"] == CLASS_BUDGET
+    assert doc["error"]["message"].startswith(f"{2 ** 23} classes")
+
+
+def test_pi_past_class_budget_exit_code(capsys):
+    """Trace 4 below V = 2e7 has 2,747,198 classes: counted, past the budget, never built."""
+    code, doc = run_json(capsys, "pi", "--traces", "4", "--volume", "2e7")
+    assert code == 3
+    assert doc["error"]["type"] == "SearchExhaustedError"
+    assert doc["error"]["bound"] == CLASS_BUDGET
+    assert doc["error"]["message"].startswith("2747198 classes")
 
 
 def test_argparse_rejects_missing_required(capsys):

@@ -1,9 +1,11 @@
 """Quaternion algebras over Q: Hilbert symbols, ramification, coarea."""
 from __future__ import annotations
 
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -14,6 +16,7 @@ import pytest
 
 import commcensus
 import oracles
+from commcensus import quaternion
 from commcensus.errors import DomainError
 from commcensus.quadratic import SplitType, field_from_d, splitting
 from commcensus.quaternion import (
@@ -38,6 +41,30 @@ def test_pi_multiple_rendering():
     assert abs(float(third) - math.pi / 3) < 1e-15
     assert str(PiMultiple(Fraction(32, 3))) == "32*pi/3"
     assert str(PiMultiple(Fraction(2))) == "2*pi"
+
+
+def test_slotted_records_round_trip():
+    """Pickle, copy and deepcopy give equal, equally hashed records of the same type.
+
+    Covers a class from the census's batch builder too, which fills the slots
+    without running __init__. The records are frozen and have no __dict__.
+    """
+    records = [
+        RamSet((3, 17)),
+        RamSet((2,), at_infinity=True),
+        AlgebraClass(RamSet((5, 13))),
+        quaternion._trusted_classes([(3, 17)])[0],
+        PiMultiple(Fraction(32, 3)),
+    ]
+    for rec in records:
+        twins = [pickle.loads(pickle.dumps(rec, proto)) for proto in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for twin in [*twins, copy.copy(rec), copy.deepcopy(rec)]:
+            assert type(twin) is type(rec)
+            assert twin == rec and hash(twin) == hash(rec), twin
+        assert not hasattr(rec, "__dict__")
+        for field in dataclasses.fields(rec):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(rec, field.name, getattr(rec, field.name))
 
 
 def test_ramset_normalization_and_parity():
