@@ -49,6 +49,11 @@ __all__ = [
 # nonsplit primes: 2**19 classes, 163 MB), so about 0.5 GB at the budget.
 CLASS_BUDGET = 1 << 21
 
+# Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half
+# the primes), peaks near 1.2 bytes of RSS per number sieved (short_interval_delta
+# at V = 3.8e8, W = 3.8e7: 399,160,597 numbers, 520 MB), so about 0.5 GB at the budget.
+SIEVE_BUDGET = 4 * 10**8
+
 
 class InfiniteCensusError(DomainError):
     """Raised when a total census is requested but the nonsplit set is infinite."""
@@ -88,10 +93,13 @@ class _System(NamedTuple):
     prime_discs: list[frozenset[int]]  # prime_disc_vector of each field
     vecs: list[int]  # F2 character vector of each field over the generator columns
     cols: dict[int, int]  # generator -> column
-    kernel: list[int]  # gf2.left_kernel(vecs)
     rank: int
-    finite: bool  # some odd-sized kernel relation
+    square_witness: tuple[int, ...] | None  # fields of the first odd kernel relation
     ramified: list[int]  # primes dividing some disc, ascending
+
+    @property
+    def finite(self) -> bool:
+        return self.square_witness is not None
 
 
 def _system(fields) -> _System:
@@ -115,9 +123,10 @@ def _system(fields) -> _System:
                 v ^= 1 << cols.setdefault(gen, len(cols))
         vecs.append(v)
     kernel = gf2.left_kernel(vecs)
-    finite = any(combo.bit_count() % 2 for combo in kernel)
+    odd = next((combo for combo in kernel if combo.bit_count() % 2), 0)
+    witness = tuple(i for i in range(len(fields)) if odd >> i & 1) or None
     ramified = sorted({abs(gen) if gen % 2 else 2 for gen in cols})
-    return _System(fields, pds, vecs, cols, kernel, len(fields) - len(kernel), finite, ramified)
+    return _System(fields, pds, vecs, cols, len(fields) - len(kernel), witness, ramified)
 
 
 def nonsplit_is_finite(fields) -> FinitenessVerdict:
@@ -131,10 +140,8 @@ def nonsplit_is_finite(fields) -> FinitenessVerdict:
 
 
 def _verdict(system: _System) -> FinitenessVerdict:
-    for combo in system.kernel:
-        if combo.bit_count() % 2:
-            witness = tuple(i for i in range(len(system.fields)) if combo >> i & 1)
-            return FinitenessVerdict(finite=True, square_witness=witness)
+    if system.finite:
+        return FinitenessVerdict(finite=True, square_witness=system.square_witness)
     x = gf2.solve(system.vecs, [1] * len(system.vecs))
     if x is None:
         raise RuntimeError("no odd kernel relation yet all-ones system insolvable")
@@ -216,7 +223,7 @@ def count_algebras(fields) -> CensusReport:
 
 
 def _inert_mask(ps: np.ndarray, chars) -> np.ndarray:
-    """Mask of the numbers in ps at which every character is -1; no table past 2**20."""
+    """Mask of the numbers in ps at which every character is -1; a None table calls kronecker."""
     keep = np.ones(len(ps), dtype=bool)
     for disc, table in chars:
         if table is None:
@@ -235,20 +242,29 @@ def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
     set, none for a finite one. Sieving only those progressions takes R
     passes per M * 2**19 numbers; the plain sieve and a character filter
     take one pass per 2**19. Route to whichever makes fewer passes,
-    deciding before anything M long exists.
+    deciding before anything M long exists. Past SIEVE_BUDGET numbers it
+    raises SearchExhaustedError before sieving any.
     """
     if system.finite:
         return
+    span = hi - lo + 1
+    if span > SIEVE_BUDGET:
+        raise SearchExhaustedError(
+            f"sieving {span} numbers is past the budget of {SIEVE_BUDGET}", bound=SIEVE_BUDGET
+        )
     discs = [fld.disc for fld in system.fields]
     modulus = math.lcm(*discs)
     units = modulus
     for p in system.ramified:
         units = units // p * (p - 1)
     classes = units >> system.rank
-    span = hi - lo + 1
     passes = classes * -(-span // (modulus * _SEGMENT))
-    chars = [(disc, character_table(disc) if disc <= 1 << 20 else None) for disc in discs]
-    if passes > -(-span // _SEGMENT):
+    plain = passes > -(-span // _SEGMENT)
+    # A table costs one kronecker call per residue: the filter builds one only
+    # if it holds no more residues than there are numbers to classify.
+    table_max = min(1 << 20, span) if plain else 1 << 20
+    chars = [(disc, character_table(disc) if disc <= table_max else None) for disc in discs]
+    if plain:
         for ps in prime_segments(lo, hi):
             yield ps[_inert_mask(ps, chars)]
         return

@@ -120,12 +120,29 @@ def _verdict_doc(verdict) -> dict:
     return doc
 
 
-def _class_row(cls) -> dict:
+def _class_table(classes, warnings: list[str]) -> list[dict]:
+    """Rows of the first MAX_CLASS_ROWS classes; a warning says when rows were left off."""
+    if len(classes) > MAX_CLASS_ROWS:
+        warnings.append(f"class table truncated to {MAX_CLASS_ROWS} of {len(classes)} rows")
+    return [
+        {
+            "ram": list(cls.ram.finite_primes),
+            "coarea_exact": str(cls.coarea),
+            "coarea": cls.coarea.value,
+            "is_division": cls.is_division,
+        }
+        for cls in classes[:MAX_CLASS_ROWS]
+    ]
+
+
+def _census_doc(census) -> dict:
+    """The finite census of a CensusReport: fields, nonsplit primes and counts."""
     return {
-        "ram": list(cls.ram.finite_primes),
-        "coarea_exact": str(cls.coarea),
-        "coarea": cls.coarea.value,
-        "is_division": cls.is_division,
+        "fields": [_field_doc(f) for f in census.fields],
+        "nonsplit_primes": list(census.nonsplit),
+        "count_total": census.count_total,
+        "count_division": census.count_division,
+        "eventual_pi": census.eventual_pi,
     }
 
 
@@ -189,29 +206,21 @@ def cmd_spectra(args) -> Report:
 def cmd_count(args) -> Report:
     fields, inputs = _census_fields(args)
     report = count_algebras(fields)
+    warnings: list[str] = []
     result = {
-        "fields": [_field_doc(f) for f in report.fields],
+        **_census_doc(report),
         "verdict": _verdict_doc(report.verdict),
-        "nonsplit_primes": list(report.nonsplit),
-        "classes": [_class_row(c) for c in report.classes],
-        "count_total": report.count_total,
-        "count_division": report.count_division,
-        "eventual_pi": report.eventual_pi,
+        "classes": _class_table(report.classes, warnings),
     }
-    return Report("count", inputs, result)
+    return Report("count", inputs, result, warnings)
 
 
 def cmd_pi(args) -> Report:
     spec, inputs = _build_spectrum(args)
     inputs["volume"] = args.volume
     value, classes = pi_of_V(spec, args.volume)
-    warnings = []
-    rows = [_class_row(c) for c in classes[:MAX_CLASS_ROWS]]
-    if len(classes) > MAX_CLASS_ROWS:
-        warnings.append(
-            f"class table truncated to {MAX_CLASS_ROWS} of {len(classes)} rows"
-        )
-    result = {"pi": value, "volume": args.volume, "classes": rows}
+    warnings: list[str] = []
+    result = {"pi": value, "volume": args.volume, "classes": _class_table(classes, warnings)}
     return Report("pi", inputs, result, warnings)
 
 
@@ -236,17 +245,7 @@ def cmd_interval(args) -> Report:
 def cmd_family(args) -> Report:
     inputs = {"n": args.n, "search_bound": args.search_bound}
     fam = construct_family(args.n, args.search_bound)
-    census = fam.census
-    result = {
-        "n": fam.n,
-        "primes": list(fam.primes),
-        "d4": fam.d4,
-        "fields": [_field_doc(f) for f in fam.fields],
-        "nonsplit_primes": list(census.nonsplit),
-        "count_total": census.count_total,
-        "count_division": census.count_division,
-        "eventual_pi": census.eventual_pi,
-    }
+    result = {"n": fam.n, "primes": list(fam.primes), "d4": fam.d4, **_census_doc(fam.census)}
     return Report("family", inputs, result)
 
 

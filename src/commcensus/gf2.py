@@ -20,12 +20,7 @@ def _insert(basis: list[list[int]], row: int, tag: int) -> tuple[int, int]:
 
 def rank(rows: list[int]) -> int:
     """Rank of the span of the given vectors."""
-    basis: list[list[int]] = []
-    for row in rows:
-        row, _ = _insert(basis, row, 0)
-        if row:
-            basis.append([row, 0])
-    return len(basis)
+    return len(rows) - len(left_kernel(rows))
 
 
 def left_kernel(rows: list[int]) -> list[int]:
@@ -44,23 +39,19 @@ def left_kernel(rows: list[int]) -> list[int]:
 def solve(rows: list[int], rhs: list[int]) -> int | None:
     """One solution x (column bitmask) of row . x = rhs over GF(2), or None.
 
-    Free coordinates are set to 0, so the answer is deterministic.
+    Free coordinates are set to 0, so the answer is deterministic. Each basis
+    row holds no pivot of an earlier one, so reading the basis in reverse
+    fixes every pivot bit from pivots already set.
     """
     basis: list[list[int]] = []
     for row, b in zip(rows, rhs):
         row, b = _insert(basis, row, b & 1)
-        if not row:
-            if b:
-                return None
-            continue
-        piv = row & -row
-        for ent in basis:
-            if ent[0] & piv:
-                ent[0] ^= row
-                ent[1] ^= b
-        basis.append([row, b])
+        if row:
+            basis.append([row, b])
+        elif b:
+            return None
     x = 0
-    for row, b in basis:
-        if b:
+    for row, b in reversed(basis):
+        if b ^ (row & x).bit_count() & 1:
             x |= row & -row
     return x

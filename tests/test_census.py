@@ -415,6 +415,80 @@ def test_nonsplit_pool_of_finite_system(monkeypatch):
     assert moduli == []
 
 
+def _tables_built(monkeypatch) -> list[int]:
+    """Record the disc of every character_table the census builds from here on."""
+    built = []
+    character_table = census.character_table
+    def recording(disc):
+        built.append(disc)
+        return character_table(disc)
+
+    monkeypatch.setattr(census, "character_table", recording)
+    return built
+
+
+def test_character_table_only_where_it_pays(monkeypatch):
+    """A disc-long table costs one kronecker call per residue. The plain sieve's filter
+    builds it only for a disc no larger than the span it classifies; below that it
+    calls kronecker per prime. The progression route classifies the M residues and
+    keeps its tables.
+
+    Trace 1021 (disc 1,042,437 <= 2**20) at V = 100 builds no table, as trace 1025
+    (disc 1,050,621 > 2**20) never does; both have 26 classes.
+    """
+    built = _tables_built(monkeypatch)
+    for trace in (1021, 1025):
+        spec = spectrum_from_inputs(traces=[trace])
+        (fld,) = spec.fields()
+        n = oracles.coarea_cutoff(100)
+        pool = oracles.nonsplit_scan([fld.disc], n + 1)
+        want = len(oracles.even_subset_products([p - 1 for p in pool], n))
+        assert pi_of_V(spec, 100)[0] == want == 26, trace
+    assert built == []
+    # disc 12 on the plain route: a span of 11 numbers takes kronecker, 12 the table
+    system = census._system(spectrum_from_inputs(traces=[4]).fields())
+    for pmax, tables in ((12, []), (13, [12])):
+        built.clear()
+        assert census._nonsplit_pool(system, pmax).tolist() == oracles.nonsplit_scan([12], pmax)
+        assert built == tables, pmax
+    moduli = _sieve_moduli(monkeypatch)
+    built.clear()
+    fields = spectrum_from_inputs(traces=[4, 5]).fields()
+    census._nonsplit_pool(census._system(fields), 3_200_000)
+    assert set(moduli) == {84} and sorted(built) == [12, 21]
+
+
+def test_sieve_budget_is_checked_before_sieving(monkeypatch):
+    """A span of exactly SIEVE_BUDGET numbers is sieved; one more raises
+    SearchExhaustedError, carrying the budget, before any sieving."""
+    assert census.SIEVE_BUDGET >= census._cutoff(1.1e8)  # test_short_interval_counts_at_1e8
+    spec = spectrum_from_inputs(traces=[4])
+    pair = (field_from_d(3), field_from_d(17))
+    monkeypatch.setattr(census, "SIEVE_BUDGET", 1001)
+    rep = verify_chebotarev_interval(pair, 10**4, 1000)
+    assert rep.actual == _inert_recount([12, 17], 10**4, 11_000)
+    top = census._cutoff(1e3)  # the pool is sieved on [2, top + 1]
+    monkeypatch.setattr(census, "SIEVE_BUDGET", top)
+    pool = oracles.nonsplit_scan([12], top + 1)
+    assert pi_of_V(spec, 1e3)[0] == len(oracles.even_subset_products([p - 1 for p in pool], top))
+
+    def no_sieve(*args):
+        raise AssertionError("sieved past the budget")
+
+    monkeypatch.setattr(census, "prime_segments", no_sieve)
+    monkeypatch.setattr(census, "SIEVE_BUDGET", top - 1)
+    for call in (
+        lambda: verify_chebotarev_interval(pair, 10**4, top - 1),
+        lambda: pi_of_V(spec, 1e3),
+        lambda: short_interval_delta(spec, 9e2, 1e2),
+    ):
+        with pytest.raises(SearchExhaustedError) as info:
+            call()
+        assert info.value.bound == top - 1
+    # a finite system sieves nothing, so no budget applies
+    assert pi_of_V(spectrum_from_inputs(radicands=[3, 17, 51]), 1e30)[0] == 2
+
+
 def _rebind(monkeypatch, original, replacement) -> None:
     """Rebind every commcensus module name whose value is original, as the benchmark tracer does."""
     for name, module in list(sys.modules.items()):

@@ -7,8 +7,9 @@ import math
 import pytest
 
 from commcensus import arith
-from commcensus.census import CLASS_BUDGET
-from commcensus.cli import main
+from commcensus import census
+from commcensus.census import CLASS_BUDGET, SIEVE_BUDGET, construct_family
+from commcensus.cli import MAX_CLASS_ROWS, main
 from commcensus.quaternion import ZETA_DISC_BOUND
 from commcensus.spectra import trace_to_length
 
@@ -276,6 +277,60 @@ def test_pi_past_class_budget_exit_code(capsys):
     assert doc["error"]["type"] == "SearchExhaustedError"
     assert doc["error"]["bound"] == CLASS_BUDGET
     assert doc["error"]["message"].startswith("2747198 classes")
+
+
+def test_sieve_budget_exit_code(capsys, monkeypatch):
+    """pi, interval and chebotarev past SIEVE_BUDGET numbers exit 3 before sieving.
+
+    The budget is checked before the 2**62 limit of the sieve, so a volume
+    whose cutoff passes that limit exits 3 too.
+    """
+
+    def no_sieve(*args):
+        raise AssertionError("sieved past the budget")
+
+    monkeypatch.setattr(census, "prime_segments", no_sieve)
+    for argv in (
+        ("pi", "--traces", "4", "--volume", "5e8"),
+        ("pi", "--traces", "4,5", "--volume", "1e30"),
+        ("interval", "--traces", "4", "--V", "1e9", "--W", "1e8"),
+        ("chebotarev", "--radicands", "3,17", "--X", "1000000000000", "--Y", str(SIEVE_BUDGET)),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert (code, doc["error"]["type"]) == (3, "SearchExhaustedError"), argv
+        assert doc["error"]["bound"] == SIEVE_BUDGET
+
+
+def _table_rows(capsys, argv) -> tuple[dict, list[str]]:
+    """The json document of a command and the lines of its csv table."""
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    return doc, out.strip().split("\n")
+
+
+def test_class_table_truncation(capsys):
+    """count and pi print the first MAX_CLASS_ROWS classes and warn; the counts stay whole."""
+    def family_radicands(n):  # 2**n classes
+        return ",".join(str(f.d) for f in construct_family(n).fields)
+
+    for argv, key, total in (
+        (("count", "--radicands", family_radicands(8)), "count_total", 256),
+        (("pi", "--traces", "4", "--volume", "1e5"), "pi", 16_720),
+    ):
+        doc, lines = _table_rows(capsys, argv)
+        rows = doc["result"]["classes"]
+        assert doc["result"][key] == total
+        assert len(rows) == MAX_CLASS_ROWS == 200
+        assert doc["warnings"] == [f"class table truncated to 200 of {total} rows"]
+        assert lines[0] == "coarea,coarea_exact,is_division,ram"
+        assert len(lines) == 1 + MAX_CLASS_ROWS
+        assert lines[-1].split(",")[1] == rows[-1]["coarea_exact"]
+    doc, lines = _table_rows(capsys, ("count", "--radicands", family_radicands(7)))
+    assert len(doc["result"]["classes"]) == doc["result"]["count_total"] == 128
+    assert doc["warnings"] == []
+    assert len(lines) == 1 + 128
 
 
 def test_argparse_rejects_missing_required(capsys):

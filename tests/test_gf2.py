@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import random
 
+import oracles
 from commcensus import gf2
 
 
@@ -50,3 +51,18 @@ def test_solve_detects_inconsistency():
     assert gf2.solve([0b1, 0b1], [0, 1]) is None
     assert gf2.solve([0b11, 0b11], [1, 0]) is None
     assert gf2.solve([], []) == 0
+
+
+def test_solve_matches_gauss_jordan_oracle():
+    """The same x, or None, as full Gauss-Jordan: the free coordinates decide the sign witness."""
+    rng = random.Random(43)
+    solvable = 0
+    for _ in range(20_000):
+        nrows = rng.randint(0, 10)
+        ncols = rng.randint(1, 10)
+        rows = [rng.getrandbits(ncols) for _ in range(nrows)]
+        rhs = [rng.getrandbits(1) for _ in range(nrows)]
+        want = oracles.gf2_solve_gauss_jordan(rows, rhs)
+        assert gf2.solve(rows, rhs) == want, (rows, rhs)
+        solvable += want is not None
+    assert 5_000 < solvable < 15_000  # both outcomes well represented
