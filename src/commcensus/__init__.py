@@ -40,7 +40,6 @@ from .quadratic import (
     field_from_d,
     norm_one_unit,
     order_from_disc,
-    order_from_lambda,
     prime_disc_vector,
     splitting,
 )
@@ -59,7 +58,6 @@ from .quaternion import (
 from .spectra import (
     GeodesicClass,
     SpectrumSpec,
-    invariant_trace_data,
     length_to_trace,
     spectrum_from_inputs,
     trace_to_length,
@@ -99,7 +97,6 @@ __all__ = [
     "field_from_d",
     "from_hilbert",
     "hilbert_local",
-    "invariant_trace_data",
     "is_prime",
     "kronecker",
     "length_to_trace",
@@ -107,7 +104,6 @@ __all__ = [
     "nonsplit_primes",
     "norm_one_unit",
     "order_from_disc",
-    "order_from_lambda",
     "pell_fundamental",
     "pi_of_V",
     "prime_disc_vector",

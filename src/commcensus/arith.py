@@ -40,7 +40,8 @@ _TRIAL_BOUND = 10**6
 # correct for every n below 3.3e24, in particular below 2**64
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-_DEFAULT_RHO_BUDGET = 4_000_000
+# Most Brent rho iterations one factorize call spends past trial division.
+RHO_BUDGET = 4_000_000
 
 _SEGMENT = 1 << 19
 
@@ -151,11 +152,11 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
     return g, used
 
 
-def factorize(n: int, budget: int = _DEFAULT_RHO_BUDGET) -> PrimeFactorization:
+def factorize(n: int) -> PrimeFactorization:
     """Full prime factorization of a nonzero integer.
 
     Trial division by the primes up to 10**6, then Pollard rho (Brent).
-    `budget` caps the total rho iterations; exceeding it raises
+    RHO_BUDGET caps the total rho iterations; exceeding it raises
     FactorBudgetError rather than silently returning a partial factorization.
     """
     if n == 0:
@@ -169,7 +170,7 @@ def factorize(n: int, budget: int = _DEFAULT_RHO_BUDGET) -> PrimeFactorization:
         while n % p == 0:
             factors[p] = factors.get(p, 0) + 1
             n //= p
-    remaining = budget
+    remaining = RHO_BUDGET
     stack = [n] if n > 1 else []
     while stack:
         m = stack.pop()
@@ -188,9 +189,7 @@ def factorize(n: int, budget: int = _DEFAULT_RHO_BUDGET) -> PrimeFactorization:
             g, used = _brent_rho(m, seed, remaining)
             remaining -= used
             if remaining <= 0 and g == m:
-                raise FactorBudgetError(
-                    f"factoring budget exhausted on {m}", bound=budget
-                )
+                raise FactorBudgetError(f"factoring budget exhausted on {m}", bound=RHO_BUDGET)
             seed += 1
         stack.extend((g, m // g))
     return PrimeFactorization(value, tuple(sorted(factors.items())))

@@ -174,14 +174,16 @@ def _build_spectrum(args) -> tuple[SpectrumSpec, dict[str, Any]]:
 
 
 def _census_fields(args) -> tuple[tuple[QuadField, ...], dict[str, Any]]:
-    """Fields for census commands: radicands are taken as fields directly,
-    traces and lengths go through the spectrum pipeline (same fields)."""
+    """Fields for census commands: the spectrum's fields of the traces and
+    lengths, then the field of each radicand, in first-appearance order."""
     inputs = _spectrum_inputs(args)
+    fields: tuple[QuadField, ...] = ()
     if inputs["traces"] or inputs["lengths"]:
-        return spectrum_from_inputs(**inputs).fields(), inputs
-    if not inputs["radicands"]:
+        spec = spectrum_from_inputs(inputs["lengths"], inputs["traces"], tol=inputs["tol"])
+        fields = spec.fields()
+    elif not inputs["radicands"]:
         raise DomainError("provide --radicands, --traces, or --lengths")
-    return _radicand_fields(inputs["radicands"]), inputs
+    return tuple(dict.fromkeys(fields + _radicand_fields(inputs["radicands"]))), inputs
 
 
 def _radicand_fields(radicands: list[int]) -> tuple[QuadField, ...]:

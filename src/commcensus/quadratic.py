@@ -24,7 +24,6 @@ __all__ = [
     "prime_disc_vector",
     "norm_one_unit",
     "order_from_disc",
-    "order_from_lambda",
 ]
 
 
@@ -131,13 +130,3 @@ def order_from_disc(D: int) -> QuadOrder:
     fld = field_from_d(D)
     return QuadOrder(fld, math.isqrt(D // fld.disc))
 
-
-def order_from_lambda(t: int) -> QuadOrder:
-    """The order Z[lambda] for the eigenvalue lambda with lambda + 1/lambda = t.
-
-    Z[lambda] has discriminant exactly t**2 - 4; the conductor is read off
-    from its square part. Requires an integer trace t >= 3.
-    """
-    if t < 3:
-        raise DomainError(f"need trace t >= 3, got {t}")
-    return order_from_disc(t * t - 4)

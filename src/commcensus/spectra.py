@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import DomainError, NotRealizableError
-from .quadratic import QuadField, QuadOrder, field_from_d, norm_one_unit, order_from_lambda
+from .quadratic import QuadField, QuadOrder, field_from_d, norm_one_unit, order_from_disc
 
 __all__ = [
     "DEFAULT_TOL",
@@ -21,7 +22,6 @@ __all__ = [
     "SpectrumSpec",
     "trace_to_length",
     "length_to_trace",
-    "invariant_trace_data",
     "geodesic_class",
     "spectrum_from_inputs",
 ]
@@ -48,7 +48,8 @@ def length_to_trace(length: float, tol: float = DEFAULT_TOL) -> int:
 
     The band around 2*cosh(length/2) is tol widened by the rounding error
     the float length itself carries, which cosh magnifies by sinh(length/2).
-    Raises NotRealizableError when the widened band holds no integer >= 3,
+    Raises NotRealizableError unless the widened band holds exactly one
+    integer >= 3 (the message names the candidates when it holds several),
     or when that rounding error alone reaches 1/2, so that the length can no
     longer pin down an integer; raises DomainError for non-positive lengths,
     which are not lengths of closed geodesics at all, and for a NaN,
@@ -70,25 +71,22 @@ def length_to_trace(length: float, tol: float = DEFAULT_TOL) -> int:
             f"its float rounding moves 2*cosh(l/2) by up to {slack:.3g}",
             value=length,
         )
-    t = round(t_real)
-    if abs(t_real - t) > tol + slack or t < 3:
+    # the integers >= 3 in the band are lo..hi, its ends taken exactly from the floats
+    t_exact, width = Fraction(t_real), Fraction(tol + slack)
+    lo, hi = max(3, math.ceil(t_exact - width)), math.floor(t_exact + width)
+    if lo > hi:
         raise NotRealizableError(
             f"length {length!r} gives 2*cosh(l/2) = {t_real!r}, "
             f"not within {tol} of an integer trace >= 3",
             value=length,
         )
-    return t
-
-
-def invariant_trace_data(t: int) -> tuple[int, QuadField]:
-    """Trace of the squared class and its eigenvalue field.
-
-    The square of a trace-t element has trace t**2 - 2 and generates the
-    same field, since (t**2 - 2)**2 - 4 = t**2 * (t**2 - 4).
-    """
-    if t < 3:
-        raise DomainError(f"need trace t >= 3, got {t}")
-    return t * t - 2, order_from_lambda(t).field
+    if lo < hi:
+        raise NotRealizableError(
+            f"length {length!r} gives 2*cosh(l/2) = {t_real!r}, "
+            f"within {tol} of every integer trace from {lo} to {hi}",
+            value=length,
+        )
+    return lo
 
 
 @dataclass(frozen=True)
@@ -122,8 +120,14 @@ class SpectrumSpec:
 
 
 def geodesic_class(t: int) -> GeodesicClass:
-    """Geodesic class of integer trace t >= 3 with its canonical order Z[lambda]."""
-    return GeodesicClass(t, order_from_lambda(t))
+    """Geodesic class of integer trace t >= 3 with its canonical order Z[lambda].
+
+    Z[lambda], for the eigenvalue with lambda + 1/lambda = t, has discriminant
+    exactly t**2 - 4; its field and conductor come from that one number.
+    """
+    if t < 3:
+        raise DomainError(f"need trace t >= 3, got {t}")
+    return GeodesicClass(t, order_from_disc(t * t - 4))
 
 
 def spectrum_from_inputs(
@@ -153,6 +157,8 @@ def spectrum_from_inputs(
         except DomainError as exc:
             raise DomainError(f"lengths[{i}]: {exc}") from None
     for i, r in enumerate(radicands or ()):
+        if not -math.inf < r < math.inf or r != int(r):
+            raise DomainError(f"radicands[{i}] = {r!r} is not an integer radicand")
         try:
             fld = field_from_d(int(r))
         except DomainError as exc:

@@ -97,9 +97,11 @@ def test_factorize_at_trial_bound():
         assert factorize(n).factors == expected, n
 
 
-def test_factorize_budget_exhaustion():
-    with pytest.raises(FactorBudgetError):
-        factorize(1000003 * 1000033, budget=1)
+def test_factorize_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(arith, "RHO_BUDGET", 1)
+    with pytest.raises(FactorBudgetError) as info:
+        factorize(1000003 * 1000033)
+    assert info.value.bound == 1
 
 
 def test_squarefree_part_examples():

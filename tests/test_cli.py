@@ -6,10 +6,10 @@ import math
 
 import pytest
 
-from commcensus import arith
-from commcensus import census
+from commcensus import arith, census, quadratic
 from commcensus.census import CLASS_BUDGET, SIEVE_BUDGET, construct_family
 from commcensus.cli import MAX_CLASS_ROWS, main
+from commcensus.quadratic import QuadOrder, field_from_d, norm_one_unit
 from commcensus.quaternion import ZETA_DISC_BOUND
 from commcensus.spectra import trace_to_length
 
@@ -239,6 +239,25 @@ def test_infinite_census_error_carries_verdict(capsys):
     assert err["type"] == "InfiniteCensusError"
     assert err["verdict"]["finite"] is False
     assert err["verdict"]["sign_witness"] == {"-4": -1, "-3": 1, "17": -1}
+
+
+def test_count_takes_radicands_straight_to_fields(capsys, monkeypatch):
+    """Beside a trace, a radicand is still taken as its field: t**2 - 4 for the
+    unit of Q(sqrt 1201), past the factoring budget, is never factored."""
+    unit_trace = norm_one_unit(QuadOrder(field_from_d(1201), 1))
+    calls = []
+    factorize = arith.factorize
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    monkeypatch.setattr(quadratic, "factorize", counting)
+    code, doc = run_json(capsys, "count", "--radicands", "3,1201", "--traces", "4")
+    assert code == 2
+    assert doc["error"]["type"] == "InfiniteCensusError"
+    assert 12 in calls and unit_trace**2 - 4 not in calls
 
 
 def test_search_exhaustion_exit_code(capsys):

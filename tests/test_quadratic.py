@@ -15,7 +15,6 @@ from commcensus.quadratic import (
     field_from_d,
     norm_one_unit,
     order_from_disc,
-    order_from_lambda,
     prime_disc_vector,
     splitting,
 )
@@ -108,16 +107,6 @@ def test_order_from_disc_rejects():
             order_from_disc(bad)
 
 
-def test_order_from_lambda_disc_identity():
-    """The order of the axis unit has discriminant exactly t**2 - 4."""
-    for t in range(3, 101):
-        assert order_from_lambda(t).order_disc == t * t - 4
-    with pytest.raises(DomainError):
-        order_from_lambda(2)
-    with pytest.raises(DomainError):
-        order_from_lambda(-5)
-
-
 def test_norm_one_unit_examples():
     for D, trace in ((5, 3), (8, 6), (12, 4), (13, 11), (17, 66),
                      (21, 5), (29, 27), (32, 6), (45, 7), (204, 100)):
@@ -173,7 +162,7 @@ def test_norm_one_unit_satisfies_equation():
 def test_trace_power_recurrence_membership():
     """t is a power of the fundamental trace: X_{n+1} = t' X_n - X_{n-1}."""
     for t in range(3, 201):
-        base = norm_one_unit(order_from_lambda(t))
+        base = norm_one_unit(order_from_disc(t * t - 4))
         a, b = 2, base
         while b < t:
             a, b = b, base * b - a

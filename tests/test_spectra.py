@@ -14,7 +14,6 @@ from commcensus.spectra import (
     GeodesicClass,
     SpectrumSpec,
     geodesic_class,
-    invariant_trace_data,
     length_to_trace,
     spectrum_from_inputs,
     trace_to_length,
@@ -73,6 +72,11 @@ def test_length_to_trace_tolerance_band():
         length_to_trace(good + 1e-6, tol=1e-9)
     # a loose tolerance swallows the same perturbation
     assert length_to_trace(good + 1e-6, tol=1e-4) == 5
+    # 2*cosh(1) = 3.086 is within 1 of both 3 and 4: no single trace
+    with pytest.raises(NotRealizableError, match="every integer trace from 3 to 4") as info:
+        length_to_trace(2.0, tol=1.0)
+    assert info.value.value == 2.0
+    assert length_to_trace(2.0, tol=0.1) == 3
 
 
 def test_embedding_field_examples():
@@ -83,12 +87,21 @@ def test_embedding_field_examples():
     assert geodesic_class(100).field == field_from_d(51)
 
 
+def test_geodesic_class_disc_identity():
+    """The order of the axis unit has discriminant exactly t**2 - 4."""
+    for t in range(3, 101):
+        assert geodesic_class(t).order.order_disc == t * t - 4
+    with pytest.raises(DomainError):
+        geodesic_class(2)
+    with pytest.raises(DomainError):
+        geodesic_class(-5)
+
+
 def test_invariant_trace_field_coincidence():
-    """The squared class generates the same field, traces 3..10**3."""
+    """The squared class, of trace t**2 - 2, generates the same field, traces 3..10**3."""
     for t in range(3, 10**3 + 1):
-        t2, fld = invariant_trace_data(t)
-        assert t2 == t * t - 2
-        assert fld == geodesic_class(t).field
+        t2 = t * t - 2
+        assert geodesic_class(t2).field == geodesic_class(t).field
         assert squarefree_part(t * t - 4)[0] == squarefree_part(t2 * t2 - 4)[0]
 
 
@@ -155,6 +168,11 @@ def test_spectrum_error_tagging():
     for bad in (float("nan"), float("inf")):
         with pytest.raises(DomainError, match=r"traces\[1\] = .* is not an integer trace >= 3"):
             spectrum_from_inputs(traces=[4, bad])
+    for bad in (3.5, float("nan"), float("inf")):
+        with pytest.raises(DomainError, match=r"radicands\[1\] = .* is not an integer radicand"):
+            spectrum_from_inputs(radicands=[3, bad])
+    with pytest.raises(DomainError, match=r"radicands\[0\]: need a real quadratic radicand n > 1"):
+        spectrum_from_inputs(radicands=[1])
 
 
 def test_spectrum_fields_first_appearance_order():
