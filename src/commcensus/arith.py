@@ -37,7 +37,8 @@ __all__ = [
 
 _TRIAL_BOUND = 10**6
 
-# correct for every n below 3.3e24, in particular below 2**64
+# correct below 2**64 and up to psi_12 = 318665857834031151167461, which is a strong
+# pseudoprime to all twelve (Sorenson and Webster, Math. Comp. 86, 2017)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Most Brent rho iterations one factorize call spends past trial division.
@@ -115,8 +116,6 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
 
     factor == n signals failure for this seed; caller retries.
     """
-    if n % 2 == 0:
-        return 2, 0
     rng = random.Random(seed)
     y = rng.randrange(1, n)
     c = rng.randrange(1, n)
@@ -253,11 +252,24 @@ def character_table(disc: int) -> np.ndarray:
     return np.array([kronecker(disc, r) for r in range(disc)], dtype=np.int8)
 
 
-def _check_radicand(d: int) -> None:
-    if d <= 1:
-        raise DomainError(f"need d > 1, got {d}")
-    if is_square(d):
-        raise DomainError(f"{d} is a perfect square")
+def _integer(x) -> int | None:
+    """x as an int if it is a finite integer value (7, 7.0, numpy's 7), else None."""
+    try:
+        n = int(x)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    return n if n == x else None
+
+
+def _check_radicand(d) -> int:
+    n = d if type(d) is int else _integer(d)
+    if n is None:
+        raise DomainError(f"{d!r} is not an integer radicand")
+    if n <= 1:
+        raise DomainError(f"need a real quadratic radicand n > 1, got {n}")
+    if is_square(n):
+        raise DomainError(f"{n} is a perfect square, Q(sqrt({n})) = Q")
+    return n
 
 
 def _partial_quotients(D: int) -> Iterator[tuple[int, int]]:
@@ -282,7 +294,7 @@ def cf_sqrt(d: int) -> tuple[int, list[int]]:
     Returns (a0, period). The expansion is [a0; period repeated], with the
     period ending at the term 2*a0.
     """
-    _check_radicand(d)
+    d = _check_radicand(d)
     quotients = (a for a, _ in _partial_quotients(4 * d))  # theta = sqrt(4d)/2
     a0 = next(quotients)
     period = [next(quotients)]
@@ -323,8 +335,7 @@ def pell_fundamental(d: int) -> PellSolution:
 
     The case D = 4d of norm_one_fundamental: X = 2x, Y = y.
     """
-    _check_radicand(d)
-    X, Y = norm_one_fundamental(4 * d)
+    X, Y = norm_one_fundamental(4 * _check_radicand(d))
     return PellSolution(X // 2, Y)
 
 

@@ -54,6 +54,9 @@ CLASS_BUDGET = 1 << 21
 # at V = 3.8e8, W = 3.8e7: 399,160,597 numbers, 520 MB), so about 0.5 GB at the budget.
 SIEVE_BUDGET = 4 * 10**8
 
+# Default bound on construct_family's generating primes and fourth-field radicand.
+FAMILY_SEARCH_BOUND = 10**6
+
 
 class InfiniteCensusError(DomainError):
     """Raised when a total census is requested but the nonsplit set is infinite."""
@@ -475,7 +478,7 @@ class FamilyResult:
     census: CensusReport
 
 
-def construct_family(n: int, search_bound: int = 10**6) -> FamilyResult:
+def construct_family(n: int, search_bound: int = FAMILY_SEARCH_BOUND) -> FamilyResult:
     """Build four real quadratic fields forcing eventual_pi = 2**n.
 
     Take the smallest prime p1 = 1 mod 8, then the m-1 smallest further

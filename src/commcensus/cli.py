@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from .census import (
+    FAMILY_SEARCH_BOUND,
     InfiniteCensusError,
     construct_family,
     count_algebras,
@@ -30,9 +31,9 @@ from .census import (
     verify_chebotarev_interval,
 )
 from .errors import DomainError, NotRealizableError, SearchExhaustedError
-from .quadratic import QuadField, QuadOrder, field_from_d, order_from_disc
+from .quadratic import QuadField, QuadOrder, order_from_disc
 from .quaternion import PiMultiple, RamSet, coarea_general, coarea_rational, zeta_k_minus1
-from .spectra import DEFAULT_TOL, SpectrumSpec, spectrum_from_inputs
+from .spectra import DEFAULT_TOL, SpectrumSpec, radicand_fields, spectrum_from_inputs
 
 log = logging.getLogger("commcensus")
 
@@ -183,12 +184,7 @@ def _census_fields(args) -> tuple[tuple[QuadField, ...], dict[str, Any]]:
         fields = spec.fields()
     elif not inputs["radicands"]:
         raise DomainError("provide --radicands, --traces, or --lengths")
-    return tuple(dict.fromkeys(fields + _radicand_fields(inputs["radicands"]))), inputs
-
-
-def _radicand_fields(radicands: list[int]) -> tuple[QuadField, ...]:
-    """Field Q(sqrt(r)) of each radicand, deduplicated, in first-appearance order."""
-    return tuple(dict.fromkeys(field_from_d(r) for r in radicands))
+    return tuple(dict.fromkeys(fields + radicand_fields(inputs["radicands"]))), inputs
 
 
 def cmd_spectra(args) -> Report:
@@ -278,7 +274,7 @@ def cmd_chebotarev(args) -> Report:
     if not radicands:
         raise DomainError("provide --radicands naming the fields")
     inputs = {"radicands": radicands, "X": args.X, "Y": args.Y}
-    rep = verify_chebotarev_interval(_radicand_fields(radicands), args.X, args.Y)
+    rep = verify_chebotarev_interval(radicand_fields(radicands), args.X, args.Y)
     result = {
         "fields": [_field_doc(f) for f in rep.fields],
         "X": rep.x,
@@ -354,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("family", help="four fields forcing a census count of 2**n")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--search-bound", type=int, default=10**6, dest="search_bound")
+    p.add_argument("--search-bound", type=int, default=FAMILY_SEARCH_BOUND, dest="search_bound")
     _add_common(p)
     p.set_defaults(func=cmd_family)
 

@@ -12,7 +12,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .arith import factorize, is_square, kronecker, norm_one_fundamental, squarefree_part
+from .arith import (
+    _check_radicand, factorize, is_square, kronecker, norm_one_fundamental, squarefree_part
+)
 from .errors import DomainError
 
 __all__ = [
@@ -60,16 +62,12 @@ class QuadOrder:
 
 
 def field_from_d(n: int) -> QuadField:
-    """Field Q(sqrt(n)) for any integer n > 1 that is not a perfect square.
+    """Field Q(sqrt(n)) for any integer value n > 1 that is not a perfect square.
 
     The radicand is reduced to its squarefree part, so field_from_d(12)
     and field_from_d(3) are the same field.
     """
-    if n <= 1:
-        raise DomainError(f"need a real quadratic radicand n > 1, got {n}")
-    if is_square(n):
-        raise DomainError(f"{n} is a perfect square, Q(sqrt({n})) = Q")
-    d, _ = squarefree_part(n)
+    d, _ = squarefree_part(_check_radicand(n))
     disc = d if d % 4 == 1 else 4 * d
     return QuadField(d, disc)
 

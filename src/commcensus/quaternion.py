@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factorize, is_prime, kronecker
+from .arith import _integer, factorize, is_prime, kronecker
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, SplitType, field_from_d, splitting
 
@@ -66,10 +66,11 @@ class RamSet:
     at_infinity: bool = False
 
     def __post_init__(self):
-        primes = tuple(sorted({int(p) for p in self.finite_primes}))
+        primes = tuple(sorted(set(self.finite_primes)))
         for p in primes:
-            if not is_prime(p):
+            if _integer(p) is None or not is_prime(int(p)):
                 raise DomainError(f"ramification set entry {p} is not prime")
+        primes = tuple(map(int, primes))
         if (len(primes) + (1 if self.at_infinity else 0)) % 2:
             raise DomainError(
                 f"ramification set {primes} (infinity={self.at_infinity}) has odd cardinality"
@@ -150,12 +151,13 @@ def hilbert_local(a: int, b: int, place) -> int:
     +1 when a*x**2 + b*y**2 = z**2 has a nontrivial solution in the local
     field, -1 otherwise.
     """
-    if a == 0 or b == 0:
-        raise DomainError("Hilbert symbol needs nonzero a, b")
+    a, b = _integer(a), _integer(b)
+    if not a or not b:
+        raise DomainError("Hilbert symbol needs nonzero integers a, b")
     if place == INFINITE_PLACE:
         return -1 if (a < 0 and b < 0) else 1
-    p = int(place)
-    if not is_prime(p):
+    p = _integer(place)
+    if p is None or not is_prime(p):
         raise DomainError(f"{place} is not a prime or the infinite place")
     alpha, u = _split_valuation(a, p)
     beta, v = _split_valuation(b, p)
@@ -182,8 +184,9 @@ def from_hilbert(a: int, b: int) -> RamSet:
 
     Only 2, primes dividing a*b, and the infinite place can ramify.
     """
-    if a == 0 or b == 0:
-        raise DomainError("need nonzero a, b")
+    a, b = _integer(a), _integer(b)
+    if not a or not b:
+        raise DomainError("need nonzero integers a, b")
     candidates = {2}
     candidates.update(factorize(a).primes())
     candidates.update(factorize(b).primes())
@@ -230,10 +233,10 @@ def coarea_general(n_k: int, d_k: int, zeta_k2: float, prime_norms) -> float:
     if not math.isfinite(zeta_k2):
         raise DomainError(f"zeta_k(2) must be finite, got {zeta_k2}")
     prod = 1
-    for nm in prime_norms:
-        nm = int(nm)
-        if nm < 2 or len(factorize(nm).factors) != 1:
-            raise DomainError(f"prime norm {nm} is not a prime power")
+    for norm in prime_norms:
+        nm = _integer(norm)
+        if nm is None or nm < 2 or len(factorize(nm).factors) != 1:
+            raise DomainError(f"prime norm {norm} is not a prime power")
         prod *= nm - 1
     try:
         value = 8 * math.pi * d_k**1.5 * zeta_k2 / (4 * math.pi**2) ** n_k * prod

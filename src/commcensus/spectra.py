@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import _integer
 from .errors import DomainError, NotRealizableError
 from .quadratic import QuadField, QuadOrder, field_from_d, norm_one_unit, order_from_disc
 
@@ -23,19 +24,23 @@ __all__ = [
     "trace_to_length",
     "length_to_trace",
     "geodesic_class",
+    "radicand_fields",
     "spectrum_from_inputs",
 ]
 
 DEFAULT_TOL = 1e-9
 
 
+def _check_trace(t) -> int:
+    n = t if type(t) is int else _integer(t)
+    if n is None or n < 3:
+        raise DomainError(f"{t!r} is not an integer trace >= 3")
+    return n
+
+
 def trace_to_length(t: int) -> float:
     """Geodesic length 2*arccosh(t/2) of the class with integer trace t >= 3."""
-    if t < 3:
-        raise DomainError(
-            f"trace {t} is not hyperbolic with a real quadratic eigenvalue (need t >= 3)"
-        )
-    return 2.0 * math.acosh(t / 2.0)
+    return 2.0 * math.acosh(_check_trace(t) / 2.0)
 
 
 def _check_tol(tol: float) -> None:
@@ -125,9 +130,34 @@ def geodesic_class(t: int) -> GeodesicClass:
     Z[lambda], for the eigenvalue with lambda + 1/lambda = t, has discriminant
     exactly t**2 - 4; its field and conductor come from that one number.
     """
-    if t < 3:
-        raise DomainError(f"need trace t >= 3, got {t}")
+    t = _check_trace(t)
     return GeodesicClass(t, order_from_disc(t * t - 4))
+
+
+def _tagged(name: str, values, convert) -> dict:
+    """convert(v) of each entry, as the keys of a dict in first-appearance order.
+
+    A DomainError from entry i is raised again as "name[i]: message"; a
+    NotRealizableError keeps its message and takes i as its index.
+    """
+    out = {}
+    for i, v in enumerate(values):
+        try:
+            out[convert(v)] = None
+        except NotRealizableError as exc:
+            exc.index = i
+            raise
+        except DomainError as exc:
+            raise DomainError(f"{name}[{i}]: {exc}") from None
+    return out
+
+
+def radicand_fields(radicands) -> tuple[QuadField, ...]:
+    """Field Q(sqrt(r)) of each radicand, deduplicated, in first-appearance order.
+
+    The one radicand -> field path: a bad entry raises DomainError "radicands[i]: ...".
+    """
+    return tuple(_tagged("radicands", radicands, field_from_d))
 
 
 def spectrum_from_inputs(
@@ -140,30 +170,18 @@ def spectrum_from_inputs(
 
     Radicand r contributes the shortest geodesic with eigenvalue field
     Q(sqrt(r)): the trace of the fundamental norm-one unit of the maximal
-    order. Errors carry the index of the offending entry in its input list.
+    order. A bad entry i of an input list is named in the error as name[i]
+    (a NotRealizableError carries i as its index instead).
     """
     _check_tol(tol)
     found: set[int] = set()
-    for i, t in enumerate(traces or ()):
-        if not 3 <= t < math.inf or t != int(t):
-            raise DomainError(f"traces[{i}] = {t!r} is not an integer trace >= 3")
-        found.add(int(t))
-    for i, length in enumerate(lengths or ()):
-        try:
-            found.add(length_to_trace(float(length), tol))
-        except NotRealizableError as exc:
-            exc.index = i
-            raise
-        except DomainError as exc:
-            raise DomainError(f"lengths[{i}]: {exc}") from None
-    for i, r in enumerate(radicands or ()):
-        if not -math.inf < r < math.inf or r != int(r):
-            raise DomainError(f"radicands[{i}] = {r!r} is not an integer radicand")
-        try:
-            fld = field_from_d(int(r))
-        except DomainError as exc:
-            raise DomainError(f"radicands[{i}]: {exc}") from None
-        found.add(norm_one_unit(QuadOrder(fld, 1)))
+    if traces:
+        found.update(_tagged("traces", traces, _check_trace))
+    if lengths:
+        found.update(_tagged("lengths", lengths, lambda x: length_to_trace(float(x), tol)))
+    if radicands:
+        for fld in radicand_fields(radicands):
+            found.add(norm_one_unit(QuadOrder(fld, 1)))
     if not found:
         raise DomainError("empty spectrum: provide lengths, traces, or radicands")
     return SpectrumSpec(tuple(geodesic_class(t) for t in sorted(found)))

@@ -47,6 +47,18 @@ def test_is_prime_pseudoprimes_and_large():
     assert not is_prime((2**61 - 1) * (2**31 - 1))
 
 
+def test_is_prime_psi12_needs_random_rounds():
+    """psi_12 < 2**79 is a strong pseudoprime to all twelve fixed bases (Sorenson and
+    Webster 2017): the fixed set alone is deterministic only below 2**64."""
+    n = 318665857834031151167461
+    assert n == 399165290221 * 798330580441
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    assert not any(arith._mr_witness(n, a, d, s) for a in arith._MR_WITNESSES)
+    assert not is_prime(n)
+
+
 def test_factorize_roundtrip_to_1e5():
     """Every n in 1..10**5 reassembles and each factor is prime."""
     for n in range(1, 10**5 + 1):
@@ -172,6 +184,20 @@ def test_cf_sqrt_examples():
         cf_sqrt(9)
     with pytest.raises(DomainError):
         cf_sqrt(1)
+
+
+def test_radicand_rule_is_shared():
+    """cf_sqrt, pell_fundamental and field_from_d read a radicand by one rule."""
+    assert pell_fundamental(12.0) == pell_fundamental(12)
+    assert cf_sqrt(7.0) == cf_sqrt(7)
+    for f in (cf_sqrt, pell_fundamental, field_from_d):
+        for bad in (3.5, math.nan, math.inf, "7"):
+            with pytest.raises(DomainError, match="is not an integer radicand"):
+                f(bad)
+        with pytest.raises(DomainError, match=r"^4 is a perfect square, Q\(sqrt\(4\)\) = Q$"):
+            f(4)
+        with pytest.raises(DomainError, match=r"^need a real quadratic radicand n > 1, got 1$"):
+            f(1.0)
 
 
 def test_cf_sqrt_period_shape():

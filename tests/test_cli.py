@@ -164,6 +164,25 @@ def test_domain_error_exit_code(capsys):
         assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
 
 
+def test_every_command_tags_a_bad_radicand(capsys):
+    """Radicands reach their fields through one path, so every command names the entry."""
+    for argv in (
+        ("count",),
+        ("spectra",),
+        ("pi", "--volume", "10"),
+        ("chebotarev", "--X", "1000", "--Y", "100"),
+    ):
+        code, doc = run_json(capsys, *argv, "--radicands", "3,4")
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
+        assert doc["error"]["message"] == "radicands[1]: 4 is a perfect square, Q(sqrt(4)) = Q"
+
+
+def test_bad_trace_is_tagged(capsys):
+    code, doc = run_json(capsys, "spectra", "--traces", "4,2")
+    assert (code, doc["error"]["type"]) == (2, "DomainError")
+    assert doc["error"]["message"] == "traces[1]: 2 is not an integer trace >= 3"
+
+
 def test_chebotarev_past_int64_is_domain_error(capsys, monkeypatch):
     """X + Y >= 2**62 exits 2 before the base sieve of sqrt(X) is built."""
 

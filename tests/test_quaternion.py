@@ -80,6 +80,14 @@ def test_ramset_normalization_and_parity():
         RamSet((4, 2))  # 4 is not prime
 
 
+def test_ramset_rejects_non_integer_primes():
+    assert RamSet((17.0, 3.0)) == RamSet((3, 17))
+    assert type(RamSet((17.0, 3.0)).finite_primes[0]) is int
+    for entries in ((2.5, 3.9), (math.nan, 3), (math.inf, 3)):
+        with pytest.raises(DomainError, match="is not prime"):
+            RamSet(entries)
+
+
 def test_hilbert_local_frozen_examples():
     assert hilbert_local(-1, -1, INFINITE_PLACE) == -1
     assert hilbert_local(-1, -1, 2) == -1
@@ -133,6 +141,22 @@ def test_hilbert_local_rejects():
         hilbert_local(1, 1, 4)
     with pytest.raises(DomainError):
         hilbert_local(1, 1, -3)
+
+
+def test_hilbert_local_rejects_non_integers():
+    assert hilbert_local(3.0, 5.0, 2.0) == hilbert_local(3, 5, 2)
+    with pytest.raises(DomainError, match="not a prime"):
+        hilbert_local(3, 5, 2.9)
+    for a, b in ((3.5, 5), (3, 5.5), (math.nan, 5)):
+        with pytest.raises(DomainError, match="nonzero integers"):
+            hilbert_local(a, b, 3)
+
+
+def test_from_hilbert_rejects_non_integers():
+    assert from_hilbert(3.0, 17.0) == from_hilbert(3, 17)
+    for a, b in ((3.5, 5), (3, 5.5), (math.inf, 5)):
+        with pytest.raises(DomainError, match="nonzero integers"):
+            from_hilbert(a, b)
 
 
 def test_from_hilbert_frozen_examples():
@@ -268,6 +292,13 @@ def test_coarea_general_validation():
         coarea_general(1, 0, 2.0, [])
     with pytest.raises(DomainError):
         coarea_general(1, 1, 0.99, [])
+
+
+def test_coarea_general_rejects_non_integer_norms():
+    assert coarea_general(1, 1, 1.6449, [4.0, 9]) == coarea_general(1, 1, 1.6449, [4, 9])
+    for bad in (4.7, math.nan):
+        with pytest.raises(DomainError, match="is not a prime power"):
+            coarea_general(1, 1, 1.6449, [bad])
 
 
 def test_coarea_general_rejects_non_finite_values():

@@ -15,6 +15,7 @@ from commcensus.spectra import (
     SpectrumSpec,
     geodesic_class,
     length_to_trace,
+    radicand_fields,
     spectrum_from_inputs,
     trace_to_length,
 )
@@ -133,6 +134,29 @@ def test_geodesic_class_factors_once(monkeypatch):
         assert g.field == field_from_d(t * t - 4)
 
 
+def test_trace_rule_is_shared():
+    """geodesic_class and trace_to_length take integer values t >= 3 and nothing else."""
+    g = geodesic_class(4.0)
+    assert g.trace == 4 and type(g.trace) is int
+    assert g == geodesic_class(4)
+    assert trace_to_length(4.0) == trace_to_length(4)
+    for bad in (3.5, math.nan, math.inf, 2):
+        with pytest.raises(DomainError, match="is not an integer trace >= 3"):
+            geodesic_class(bad)
+        with pytest.raises(DomainError, match="is not an integer trace >= 3"):
+            trace_to_length(bad)
+
+
+def test_radicand_fields_dedup_and_tags():
+    fields = radicand_fields([3, 12, 17])
+    assert fields == (field_from_d(3), field_from_d(17))
+    assert radicand_fields([17.0, 3]) == (field_from_d(17), field_from_d(3))
+    with pytest.raises(DomainError, match=r"^radicands\[2\]: 25 is a perfect square"):
+        radicand_fields([3, 17, 25])
+    with pytest.raises(DomainError, match=r"^radicands\[0\]: 3.5 is not an integer radicand"):
+        radicand_fields([3.5])
+
+
 def test_spectrum_from_radicands():
     spec = spectrum_from_inputs(radicands=[3, 17, 51])
     assert spec.traces() == (4, 66, 100)
@@ -166,10 +190,10 @@ def test_spectrum_error_tagging():
     with pytest.raises(DomainError):
         spectrum_from_inputs(traces=[2])
     for bad in (float("nan"), float("inf")):
-        with pytest.raises(DomainError, match=r"traces\[1\] = .* is not an integer trace >= 3"):
+        with pytest.raises(DomainError, match=r"traces\[1\]: .* is not an integer trace >= 3"):
             spectrum_from_inputs(traces=[4, bad])
     for bad in (3.5, float("nan"), float("inf")):
-        with pytest.raises(DomainError, match=r"radicands\[1\] = .* is not an integer radicand"):
+        with pytest.raises(DomainError, match=r"radicands\[1\]: .* is not an integer radicand"):
             spectrum_from_inputs(radicands=[3, bad])
     with pytest.raises(DomainError, match=r"radicands\[0\]: need a real quadratic radicand n > 1"):
         spectrum_from_inputs(radicands=[1])
