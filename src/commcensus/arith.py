@@ -247,8 +247,7 @@ def character_table(disc: int) -> np.ndarray:
     character is periodic mod disc, so (disc|n) = table[n % disc] for every
     n >= 0: one table serves a whole array of primes by fancy indexing.
     """
-    if disc < 1 or disc % 4 not in (0, 1):
-        raise DomainError(f"{disc} is not a positive discriminant")
+    disc = _check_disc(disc)
     return np.array([kronecker(disc, r) for r in range(disc)], dtype=np.int8)
 
 
@@ -269,6 +268,22 @@ def _check_radicand(d) -> int:
         raise DomainError(f"need a real quadratic radicand n > 1, got {n}")
     if is_square(n):
         raise DomainError(f"{n} is a perfect square, Q(sqrt({n})) = Q")
+    return n
+
+
+def _check_disc(D) -> int:
+    """D as an int if it is an integer value D >= 1 with D = 0 or 1 mod 4: the discriminant rule."""
+    n = D if type(D) is int else _integer(D)
+    if n is None or n < 1 or n % 4 > 1:
+        raise DomainError(f"{D!r} is not an integer discriminant D >= 1 with D = 0 or 1 mod 4")
+    return n
+
+
+def _check_integer(x, name: str) -> int:
+    """x as an int if it is a finite integer value, else DomainError naming the argument."""
+    n = _integer(x)
+    if n is None:
+        raise DomainError(f"{name} = {x!r} is not an integer")
     return n
 
 
@@ -313,8 +328,7 @@ def norm_one_fundamental(D: int) -> tuple[int, int]:
     (2P_k + rQ_k)**2 - D*Q_k**2 = (-1)**(k+1) * 2 * q_(k+1), that is the
     first odd k with q_(k+1) = 2.
     """
-    if D <= 0 or D % 4 > 1 or is_square(D):
-        raise DomainError(f"{D} is not a real quadratic order discriminant")
+    D = _check_radicand(_check_disc(D))
     r = D % 2
     p_prev, p = 0, 1  # convergent numerators P_(k-2), P_(k-1)
     y_prev, y = 1, 0  # and denominators Q_(k-2), Q_(k-1)

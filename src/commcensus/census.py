@@ -20,7 +20,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import gf2
-from .arith import _SEGMENT, character_table, factorize, kronecker, prime_segments
+from .arith import _SEGMENT, _check_integer, character_table, factorize, kronecker, prime_segments
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
 from .quaternion import AlgebraClass, RamSet, _trusted_classes
@@ -488,6 +488,7 @@ def construct_family(n: int, search_bound: int = FAMILY_SEARCH_BOUND) -> FamilyR
     trims the set to {p2, ..., pm}. All searches are smallest-first, so
     the family is deterministic.
     """
+    n, search_bound = _check_integer(n, "n"), _check_integer(search_bound, "search_bound")
     if n < 0:
         raise DomainError(f"need n >= 0, got {n}")
     if search_bound < 2:
@@ -587,6 +588,7 @@ def verify_chebotarev_interval(fields, x: int, y: int) -> ChebotarevReport:
     Requires independent discriminant characters (a dependent or finite
     system has the wrong density and is rejected) and X >= 1000, 0 < Y <= X.
     """
+    x, y = _check_integer(x, "X"), _check_integer(y, "Y")
     if x < 1000:
         raise DomainError(f"need X >= 1000, got {x}")
     if not 0 < y <= x:

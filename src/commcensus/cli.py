@@ -33,7 +33,7 @@ from .census import (
 from .errors import DomainError, NotRealizableError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, order_from_disc
 from .quaternion import PiMultiple, RamSet, coarea_general, coarea_rational, zeta_k_minus1
-from .spectra import DEFAULT_TOL, SpectrumSpec, radicand_fields, spectrum_from_inputs
+from .spectra import DEFAULT_TOL, SpectrumSpec, _check_tol, radicand_fields, spectrum_from_inputs
 
 log = logging.getLogger("commcensus")
 
@@ -161,12 +161,14 @@ def _parse_list(args, flag: str, kind: type = int) -> list:
 
 
 def _spectrum_inputs(args) -> dict[str, Any]:
-    return {
+    inputs = {
         "lengths": _parse_list(args, "lengths", float),
         "traces": _parse_list(args, "traces"),
         "radicands": _parse_list(args, "radicands"),
         "tol": getattr(args, "tol", DEFAULT_TOL),
     }
+    _check_tol(inputs["tol"])  # count reaches spectrum_from_inputs only with traces or lengths
+    return inputs
 
 
 def _build_spectrum(args) -> tuple[SpectrumSpec, dict[str, Any]]:

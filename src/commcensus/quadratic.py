@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 
 from .arith import (
-    _check_radicand, factorize, is_square, kronecker, norm_one_fundamental, squarefree_part
+    _check_disc, _check_radicand, factorize, kronecker, norm_one_fundamental, squarefree_part
 )
-from .errors import DomainError
 
 __all__ = [
     "SplitType",
@@ -118,13 +117,10 @@ def norm_one_unit(order: QuadOrder) -> int:
 def order_from_disc(D: int) -> QuadOrder:
     """The unique real quadratic order of discriminant D.
 
-    D must be positive, not a square, and 0 or 1 mod 4; it then factors
+    D must be positive, 0 or 1 mod 4, and not a square; it then factors
     uniquely as conductor**2 times a fundamental discriminant.
     """
-    if D <= 0 or is_square(D):
-        raise DomainError(f"{D} is not a real quadratic order discriminant")
-    if D % 4 not in (0, 1):
-        raise DomainError(f"{D} = 2, 3 mod 4 cannot be an order discriminant")
+    D = _check_disc(D)
     fld = field_from_d(D)
     return QuadOrder(fld, math.isqrt(D // fld.disc))
 

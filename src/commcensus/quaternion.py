@@ -12,9 +12,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import _integer, factorize, is_prime, kronecker
+from .arith import _check_disc, _check_integer, _integer, factorize, is_prime, kronecker
 from .errors import DomainError, SearchExhaustedError
-from .quadratic import QuadField, SplitType, field_from_d, splitting
+from .quadratic import QuadField, SplitType, order_from_disc, splitting
 
 __all__ = [
     "INFINITE_PLACE",
@@ -159,6 +159,11 @@ def hilbert_local(a: int, b: int, place) -> int:
     p = _integer(place)
     if p is None or not is_prime(p):
         raise DomainError(f"{place} is not a prime or the infinite place")
+    return _hilbert_at(a, b, p)
+
+
+def _hilbert_at(a: int, b: int, p: int) -> int:
+    """hilbert_local at a prime p, for nonzero ints a, b; none of them is checked."""
     alpha, u = _split_valuation(a, p)
     beta, v = _split_valuation(b, p)
     if p == 2:
@@ -190,7 +195,7 @@ def from_hilbert(a: int, b: int) -> RamSet:
     candidates = {2}
     candidates.update(factorize(a).primes())
     candidates.update(factorize(b).primes())
-    ram = [p for p in sorted(candidates) if hilbert_local(a, b, p) == -1]
+    ram = [p for p in sorted(candidates) if _hilbert_at(a, b, p) == -1]
     return RamSet(tuple(ram), at_infinity=(a < 0 and b < 0))
 
 
@@ -226,6 +231,7 @@ def coarea_general(n_k: int, d_k: int, zeta_k2: float, prime_norms) -> float:
     8 * pi * d_k**(3/2) * zeta_k(2) / (4*pi**2)**n_k * prod(N(p) - 1), the
     norms running over the finite ramified primes of the algebra.
     """
+    n_k, d_k = _check_integer(n_k, "degree"), _check_integer(d_k, "discriminant")
     if n_k < 1 or d_k < 1:
         raise DomainError("need degree >= 1 and positive discriminant")
     if not zeta_k2 > 1.0:
@@ -257,7 +263,8 @@ def zeta_k_minus1(D: int) -> Fraction:
     """
     if D > ZETA_DISC_BOUND:
         raise SearchExhaustedError(f"disc {D} is past the zeta_k(-1) budget", ZETA_DISC_BOUND)
-    if D <= 1 or field_from_d(D).disc != D:
+    D = _check_disc(D)
+    if order_from_disc(D).conductor != 1:
         raise DomainError(f"{D} is not a real quadratic fundamental discriminant")
     sigma = [
         math.prod((p ** (e + 1) - 1) // (p - 1) for p, e in factorize((D - b * b) // 4).factors)

@@ -859,3 +859,29 @@ def test_chebotarev_rejections():
         verify_chebotarev_interval(
             (field_from_d(2), field_from_d(3), field_from_d(6)), 10**4, 10**3
         )
+
+
+_FIELDS_3_17 = (field_from_d(3), field_from_d(17))
+
+
+@pytest.mark.parametrize(
+    "f, good, good_float, bad",
+    [
+        (construct_family, (2, 10**4), (2, 1e4), [(1.5,), (2, 1e4 + 0.5)]),
+        (
+            lambda x, y: verify_chebotarev_interval(_FIELDS_3_17, x, y),
+            (10**6, 10**5), (1e6, 1e5), [(1e6 + 0.5, 10**5), (10**6, math.nan)],
+        ),
+        (
+            lambda n, d: quaternion.coarea_general(n, d, 1.2, []),
+            (2, 5), (2.0, 5.0), [(2.5, 5), (2, 5.5)],
+        ),
+    ],
+    ids=["construct_family", "verify_chebotarev_interval", "coarea_general"],
+)
+def test_integer_inputs_are_read_as_integers(f, good, good_float, bad):
+    """An integer-valued float works as the integer; any other value is a DomainError."""
+    assert f(*good_float) == f(*good)
+    for args in bad:
+        with pytest.raises(DomainError, match="is not an integer"):
+            f(*args)

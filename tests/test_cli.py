@@ -4,13 +4,16 @@ from __future__ import annotations
 import json
 import math
 
+import numpy as np
 import pytest
 
 from commcensus import arith, census, quadratic
+from commcensus.arith import character_table, norm_one_fundamental
 from commcensus.census import CLASS_BUDGET, SIEVE_BUDGET, construct_family
 from commcensus.cli import MAX_CLASS_ROWS, main
-from commcensus.quadratic import QuadOrder, field_from_d, norm_one_unit
-from commcensus.quaternion import ZETA_DISC_BOUND
+from commcensus.errors import DomainError
+from commcensus.quadratic import QuadOrder, field_from_d, norm_one_unit, order_from_disc
+from commcensus.quaternion import ZETA_DISC_BOUND, zeta_k_minus1
 from commcensus.spectra import trace_to_length
 
 
@@ -230,10 +233,36 @@ def test_non_finite_floats_are_domain_errors(capsys):
         ("volume", "--disc", "5", "--zeta2", "inf", "--degree", "3"),
         ("volume", "--disc", "5", "--zeta2", "1e308", "--degree", "1"),
         ("volume", "--disc", "5", "--zeta2", "2", "--degree", "400"),
+        ("count", "--radicands", "3,17,51", "--tol", "nan"),
+        ("count", "--radicands", "3,17,51", "--tol", "inf"),
+        ("count", "--radicands", "3,17,51", "--tol", "-1"),
     ):
         code, out = run(capsys, *argv)
         doc = json.loads(out, parse_constant=_reject_constant)
         assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
+
+
+def test_discriminant_rule_is_shared(capsys):
+    """The four entry points that read a discriminant give one message for a bad one."""
+    readers = (character_table, norm_one_fundamental, order_from_disc, zeta_k_minus1)
+    for bad in (7, 0, -4, 13.5, math.nan):
+        messages = set()
+        for f in readers:
+            with pytest.raises(DomainError) as info:
+                f(bad)
+            messages.add(str(info.value))
+        assert len(messages) == 1, (bad, messages)
+    assert np.array_equal(character_table(12.0), character_table(12))
+    for f in readers[1:]:
+        assert f(12.0) == f(12)
+    messages = [
+        run_json(capsys, *argv)[1]["error"]["message"]
+        for argv in (
+            ("volume", "--disc", "7"),
+            ("selectivity", "--ramified", "2,5", "--order-disc", "7"),
+        )
+    ]
+    assert messages[0] == messages[1]
 
 
 def test_family_search_bound_below_two(capsys):

@@ -159,6 +159,21 @@ def test_from_hilbert_rejects_non_integers():
             from_hilbert(a, b)
 
 
+def test_from_hilbert_proves_each_prime_once(monkeypatch):
+    """factorize's primes are not proved again: only RamSet proves the ramified ones."""
+    calls = []
+    is_prime = quaternion.is_prime
+
+    def counting(n):
+        calls.append(n)
+        return is_prime(n)
+
+    expected = RamSet((3, 17))
+    monkeypatch.setattr(quaternion, "is_prime", counting)
+    assert from_hilbert(3, 17) == expected
+    assert calls == [3, 17]
+
+
 def test_from_hilbert_frozen_examples():
     assert from_hilbert(-1, -1) == RamSet((2,), at_infinity=True)
     assert from_hilbert(-1, -3) == RamSet((3,), at_infinity=True)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from commcensus import arith
+from commcensus import arith, quadratic
 from commcensus.arith import squarefree_part
 from commcensus.errors import DomainError, NotRealizableError
 from commcensus.quadratic import field_from_d
@@ -132,6 +132,22 @@ def test_geodesic_class_factors_once(monkeypatch):
         g = geodesic_class(t)
         assert calls == [t * t - 4]
         assert g.field == field_from_d(t * t - 4)
+
+
+def test_geodesic_class_checks_square_once(monkeypatch):
+    """t**2 - 4 is tested for a square once, by the radicand rule behind field_from_d."""
+    calls = []
+    is_square = arith.is_square
+
+    def counting(n):
+        calls.append(n)
+        return is_square(n)
+
+    monkeypatch.setattr(arith, "is_square", counting)
+    # a check through an is_square imported into quadratic counts too
+    monkeypatch.setattr(quadratic, "is_square", counting, raising=False)
+    geodesic_class(66)
+    assert calls == [66 * 66 - 4]
 
 
 def test_trace_rule_is_shared():
