@@ -170,17 +170,16 @@ def factorize(n: int) -> PrimeFactorization:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     remaining = RHO_BUDGET
-    stack = [n] if n > 1 else []
+    stack = [(n, 1)] if n > 1 else []  # (m, e): m**e divides what is left
     while stack:
-        m = stack.pop()
+        m, e = stack.pop()
         if m == 1:
             continue
         if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
-            factors[m] = factors.get(m, 0) + 1
+            factors[m] = factors.get(m, 0) + e
             continue
         if is_square(m):
-            r = math.isqrt(m)
-            stack.extend((r, r))
+            stack.append((math.isqrt(m), 2 * e))
             continue
         g = m
         seed = 1
@@ -190,7 +189,7 @@ def factorize(n: int) -> PrimeFactorization:
             if remaining <= 0 and g == m:
                 raise FactorBudgetError(f"factoring budget exhausted on {m}", bound=RHO_BUDGET)
             seed += 1
-        stack.extend((g, m // g))
+        stack.extend(((g, e), (m // g, e)))
     return PrimeFactorization(value, tuple(sorted(factors.items())))
 
 

@@ -1,7 +1,7 @@
 """Real quadratic fields, their orders, and prime splitting.
 
-A field is identified by its squarefree radicand d > 1 and fundamental
-discriminant (d when d = 1 mod 4, else 4d). Orders are identified inside a
+A field is its squarefree radicand d > 1; its fundamental discriminant is
+derived (d when d = 1 mod 4, else 4d). Orders are identified inside a
 field by their conductor. Only real quadratic fields are supported;
 imaginary radicands are rejected at construction.
 """
@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from .arith import (
     _check_disc, _check_radicand, factorize, kronecker, norm_one_fundamental, squarefree_part
 )
+from .errors import DomainError
 
 __all__ = [
     "SplitType",
@@ -39,7 +40,10 @@ class QuadField:
     """Real quadratic field Q(sqrt(d)): squarefree d > 1, fundamental disc."""
 
     d: int
-    disc: int
+
+    @property
+    def disc(self) -> int:
+        return self.d if self.d % 4 == 1 else 4 * self.d
 
     def __str__(self) -> str:
         return f"Q(sqrt({self.d}))"
@@ -67,8 +71,7 @@ def field_from_d(n: int) -> QuadField:
     and field_from_d(3) are the same field.
     """
     d, _ = squarefree_part(_check_radicand(n))
-    disc = d if d % 4 == 1 else 4 * d
-    return QuadField(d, disc)
+    return QuadField(d)
 
 
 def splitting(field: QuadField, p: int) -> SplitType:
@@ -86,12 +89,16 @@ def prime_disc_vector(field: QuadField) -> frozenset[int]:
 
     Each odd prime q dividing disc contributes q* = (-1)**((q-1)/2) * q;
     the remaining 2-part is one of -4, 8, -8 (or absent). The product of
-    the returned set is exactly disc.
+    the returned set is exactly disc; d must be a squarefree integer > 1.
     """
+    if not isinstance(field.d, int) or field.d <= 1:
+        raise DomainError(f"{field!r} is not a real quadratic field: need an integer d > 1")
     disc = field.disc
     parts = []
     prod = 1
-    for q, _ in factorize(disc).factors:
+    for q, e in factorize(disc).factors:
+        if e > (3 if q == 2 else 1):
+            raise DomainError(f"{field!r} is not a real quadratic field: d is not squarefree")
         if q == 2:
             continue
         qs = q if q % 4 == 1 else -q

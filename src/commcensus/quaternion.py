@@ -261,8 +261,9 @@ def zeta_k_minus1(D: int) -> Fraction:
     each argument is below 10**12, so trial division alone factors it: no FactorBudgetError.
     Past ZETA_DISC_BOUND (the sum takes about 4 s there) it raises SearchExhaustedError up front.
     """
-    if D > ZETA_DISC_BOUND:
-        raise SearchExhaustedError(f"disc {D} is past the zeta_k(-1) budget", ZETA_DISC_BOUND)
+    n = _integer(D)
+    if n is not None and n > ZETA_DISC_BOUND:
+        raise SearchExhaustedError(f"disc {n} is past the zeta_k(-1) budget", ZETA_DISC_BOUND)
     D = _check_disc(D)
     if order_from_disc(D).conductor != 1:
         raise DomainError(f"{D} is not a real quadratic fundamental discriminant")

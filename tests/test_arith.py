@@ -109,6 +109,19 @@ def test_factorize_at_trial_bound():
         assert factorize(n).factors == expected, n
 
 
+def test_factorize_splits_a_square_cofactor_once(monkeypatch):
+    """factorize(r * r) runs rho on r once, so as often as factorize(r) does."""
+    calls = []
+    brent = arith._brent_rho
+    monkeypatch.setattr(arith, "_brent_rho", lambda *args: calls.append(args) or brent(*args))
+    p, q = 10000019, 10000079  # both past the trial bound: r = p * q needs rho
+    assert factorize(p * q).factors == ((p, 1), (q, 1))
+    once = len(calls)
+    calls.clear()
+    assert factorize((p * q) ** 2).factors == ((p, 2), (q, 2))
+    assert len(calls) == once > 0
+
+
 def test_factorize_budget_exhaustion(monkeypatch):
     monkeypatch.setattr(arith, "RHO_BUDGET", 1)
     with pytest.raises(FactorBudgetError) as info:

@@ -1,12 +1,15 @@
 """Real quadratic fields, orders, splitting, and norm-one units."""
 from __future__ import annotations
 
+import dataclasses
 import random
+import re
 
 import pytest
 
 import oracles
 from commcensus.arith import is_square, kronecker, norm_one_fundamental
+from commcensus.census import count_algebras, nonsplit_is_finite, verify_chebotarev_interval
 from commcensus.errors import DomainError
 from commcensus.quadratic import (
     QuadField,
@@ -21,12 +24,36 @@ from commcensus.quadratic import (
 
 
 def test_field_from_d_reduction_and_disc():
-    assert field_from_d(3) == QuadField(d=3, disc=12)
-    assert field_from_d(5) == QuadField(d=5, disc=5)
-    assert field_from_d(12) == QuadField(d=3, disc=12)  # 12 = 3 * 2**2
-    assert field_from_d(45) == QuadField(d=5, disc=5)
-    assert field_from_d(51) == QuadField(d=51, disc=204)
-    assert field_from_d(2) == QuadField(d=2, disc=8)
+    # n -> (d, disc); 12 = 3 * 2**2 and 45 = 5 * 3**2 reduce
+    cases = {3: (3, 12), 5: (5, 5), 12: (3, 12), 45: (5, 5), 51: (51, 204), 2: (2, 8)}
+    for n, want in cases.items():
+        f = field_from_d(n)
+        assert (f.d, f.disc) == want, n
+
+
+def test_field_is_its_radicand():
+    """d is the one stored value: equality, hash and order read it alone."""
+    assert [fd.name for fd in dataclasses.fields(QuadField)] == ["d"]
+    assert QuadField(3) == field_from_d(12)
+    assert hash(QuadField(3)) == hash(field_from_d(12))
+    fields = [field_from_d(17), QuadField(3), field_from_d(5), field_from_d(2)]
+    assert sorted(fields) == [QuadField(2), QuadField(3), QuadField(5), QuadField(17)]
+
+
+@pytest.mark.parametrize("d", [12, 1, -3, 2.5])
+def test_census_rejects_a_field_that_is_not_one(d):
+    """QuadField(d) with d not a squarefree integer > 1 is refused, naming it, by each entry."""
+    bad = QuadField(d)
+    pair = [bad, field_from_d(17)]
+    entries = (
+        lambda: prime_disc_vector(bad),
+        lambda: nonsplit_is_finite(pair),
+        lambda: count_algebras(pair),
+        lambda: verify_chebotarev_interval(pair, 10**6, 10**5),
+    )
+    for entry in entries:
+        with pytest.raises(DomainError, match=re.escape(repr(bad))):
+            entry()
 
 
 def test_field_from_d_rejects():
@@ -92,11 +119,13 @@ def test_character_identity_on_triples():
 
 
 def test_order_from_disc_examples():
-    assert order_from_disc(5) == QuadOrder(field=QuadField(5, 5), conductor=1)
-    assert order_from_disc(12) == QuadOrder(field=QuadField(3, 12), conductor=1)
-    assert order_from_disc(32) == QuadOrder(field=QuadField(2, 8), conductor=2)
-    assert order_from_disc(45) == QuadOrder(field=QuadField(5, 5), conductor=3)
-    assert order_from_disc(204) == QuadOrder(field=QuadField(51, 204), conductor=1)
+    assert order_from_disc(5) == QuadOrder(field=QuadField(5), conductor=1)
+    assert order_from_disc(12) == QuadOrder(field=QuadField(3), conductor=1)
+    assert order_from_disc(32) == QuadOrder(field=QuadField(2), conductor=2)
+    assert order_from_disc(45) == QuadOrder(field=QuadField(5), conductor=3)
+    assert order_from_disc(204) == QuadOrder(field=QuadField(51), conductor=1)
+    discs = [order_from_disc(D).field.disc for D in (5, 12, 32, 45, 204)]
+    assert discs == [5, 12, 8, 5, 204]
     for D in (5, 12, 32, 45, 204, 13, 341):
         assert order_from_disc(D).order_disc == D
 

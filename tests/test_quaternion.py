@@ -356,6 +356,13 @@ def test_zeta_k_minus1_closed_forms():
     assert zeta_k_minus1(12) == Fraction(1, 6)
 
 
+def test_zeta_k_minus1_reads_disc_before_budget():
+    """A value that is not an integer is a DomainError, never the exit-3 budget error."""
+    for bad in (math.inf, "7"):
+        with pytest.raises(DomainError):
+            zeta_k_minus1(bad)
+
+
 def test_zeta_k_minus1_matches_bernoulli_oracle():
     """The divisor sum equals B_{2,chi}/24 exactly for every fundamental D < 2000."""
     discs = []
