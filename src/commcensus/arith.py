@@ -151,12 +151,14 @@ def _brent_rho(n: int, seed: int, budget: int) -> tuple[int, int]:
     return g, used
 
 
-def factorize(n: int) -> PrimeFactorization:
+def factorize(n: int, *, _whole_squares: bool = False) -> PrimeFactorization:
     """Full prime factorization of a nonzero integer.
 
     Trial division by the primes up to 10**6, then Pollard rho (Brent).
     RHO_BUDGET caps the total rho iterations; exceeding it raises
     FactorBudgetError rather than silently returning a partial factorization.
+    With _whole_squares (for squarefree_part) a perfect square m**2 left past
+    trial division is entered as (m, 2) unfactored, so m may be composite.
     """
     if n == 0:
         raise DomainError("0 has no prime factorization")
@@ -179,7 +181,11 @@ def factorize(n: int) -> PrimeFactorization:
             factors[m] = factors.get(m, 0) + e
             continue
         if is_square(m):
-            stack.append((math.isqrt(m), 2 * e))
+            r = math.isqrt(m)
+            if _whole_squares:
+                factors[r] = factors.get(r, 0) + 2 * e
+            else:
+                stack.append((r, 2 * e))
             continue
         g = m
         seed = 1
@@ -194,8 +200,11 @@ def factorize(n: int) -> PrimeFactorization:
 
 
 def squarefree_part(n: int) -> tuple[int, int]:
-    """Split n = s * f**2 with s squarefree. Returns (s, f), sign carried by s."""
-    fact = factorize(n)
+    """Split n = s * f**2 with s squarefree. Returns (s, f), sign carried by s.
+
+    A square left past trial division adds nothing to s, so it is not factored.
+    """
+    fact = factorize(n, _whole_squares=True)
     s, f = fact.sign, 1
     for p, e in fact.factors:
         if e % 2:
@@ -327,7 +336,11 @@ def norm_one_fundamental(D: int) -> tuple[int, int]:
     (2P_k + rQ_k)**2 - D*Q_k**2 = (-1)**(k+1) * 2 * q_(k+1), that is the
     first odd k with q_(k+1) = 2.
     """
-    D = _check_radicand(_check_disc(D))
+    return _norm_one_walk(_check_radicand(_check_disc(D)))
+
+
+def _norm_one_walk(D: int) -> tuple[int, int]:
+    """norm_one_fundamental for a D its caller has already checked."""
     r = D % 2
     p_prev, p = 0, 1  # convergent numerators P_(k-2), P_(k-1)
     y_prev, y = 1, 0  # and denominators Q_(k-2), Q_(k-1)
@@ -348,7 +361,7 @@ def pell_fundamental(d: int) -> PellSolution:
 
     The case D = 4d of norm_one_fundamental: X = 2x, Y = y.
     """
-    X, Y = norm_one_fundamental(4 * _check_radicand(d))
+    X, Y = _norm_one_walk(4 * _check_radicand(d))
     return PellSolution(X // 2, Y)
 
 

@@ -164,22 +164,16 @@ def nonsplit_primes(fields) -> tuple[int, ...]:
     unramified everywhere and inert everywhere would contradict the finite
     verdict. Rejects field systems with an infinite nonsplit set.
     """
-    system = _system(fields)
-    return _nonsplit_primes(system, _verdict(system))
+    return _finite(_system(fields))
 
 
-def _nonsplit_primes(system: _System, verdict: FinitenessVerdict) -> tuple[int, ...]:
-    if not verdict.finite:
-        raise InfiniteCensusError("infinitely many primes are nonsplit in every field", verdict)
-    return tuple(_ramified_nonsplit(system))
-
-
-def _ramified_nonsplit(system: _System) -> list[int]:
-    """The ramified primes splitting in none of the fields, ascending."""
-    return [
-        p for p in system.ramified
-        if all(splitting(fld, p) is not SplitType.SPLIT for fld in system.fields)
-    ]
+def _finite(system: _System) -> tuple[int, ...]:
+    """The nonsplit primes of a finite system; InfiniteCensusError for an infinite one."""
+    if not system.finite:
+        raise InfiniteCensusError(
+            "infinitely many primes are nonsplit in every field", _verdict(system)
+        )
+    return tuple(_nonsplit_pool(system, system.ramified[-1]).tolist())
 
 
 @dataclass(frozen=True)
@@ -212,13 +206,12 @@ def count_algebras(fields) -> CensusReport:
     Past CLASS_BUDGET classes it raises SearchExhaustedError instead.
     """
     system = _system(fields)
-    verdict = _verdict(system)
-    s0 = _nonsplit_primes(system, verdict)
+    s0 = _finite(system)
     fac = [p - 1 for p in s0]
     classes = _classes(fac, math.prod(fac), 2 ** (len(s0) - 1) if s0 else 1)
     return CensusReport(
         fields=system.fields,
-        verdict=verdict,
+        verdict=_verdict(system),
         nonsplit=s0,
         classes=tuple(classes),
         count_total=len(classes),
@@ -278,10 +271,16 @@ def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
 def _nonsplit_pool(system: _System, pmax: int) -> np.ndarray:
     """Primes p <= pmax splitting in none of the fields, ascending.
 
-    The unramified ones are inert in every field; the ramified ones are sorted in.
+    The unramified ones are inert in every field; a finite system has none,
+    and its pool holds Python ints, since only the discs bound its primes.
     """
-    ramified = np.array([p for p in _ramified_nonsplit(system) if p <= pmax], dtype=np.int64)
-    blocks = _inert_blocks(system, 2, pmax)
+    # sieved first: past SIEVE_BUDGET that raises before a ramified p overflows int64
+    blocks = list(_inert_blocks(system, 2, pmax))
+    ramified = np.array(
+        [p for p in system.ramified
+         if p <= pmax and all(splitting(fld, p) is not SplitType.SPLIT for fld in system.fields)],
+        dtype=object if system.finite else np.int64,
+    )
     return np.sort(np.concatenate([ramified, *blocks]), kind="stable")
 
 
@@ -557,7 +556,7 @@ def selectivity_check(b: RamSet, order: QuadOrder) -> SelectivityVerdict:
     if b.at_infinity:
         raise DomainError("selectivity concerns indefinite algebras only")
     fld = order.field
-    certificate = min(factorize(fld.disc).primes())
+    certificate = min(abs(q) if q % 2 else 2 for q in prime_disc_vector(fld))
     cond_primes = tuple(
         (p, splitting(fld, p)) for p in factorize(order.conductor).primes()
     )

@@ -137,6 +137,19 @@ def test_squarefree_part_examples():
     assert squarefree_part(1) == (1, 1)
 
 
+def test_squarefree_part_takes_a_square_leftover_whole(monkeypatch):
+    """r**2 is all that trial division leaves of 3 * r**2: it adds nothing to s, so
+    r goes into f unfactored, and rho, which would have to split r, never runs."""
+
+    def no_rho(*args):
+        raise AssertionError("rho ran")
+
+    monkeypatch.setattr(arith, "_brent_rho", no_rho)
+    r = (2**61 - 1) * (2**89 - 1)
+    assert squarefree_part(3 * r * r) == (3, r)
+    assert squarefree_part(-12 * r**4) == (-3, 2 * r * r)
+
+
 def test_squarefree_part_random_roundtrip():
     rng = random.Random(20260819)
     for _ in range(300):
@@ -245,6 +258,20 @@ def test_pell_minimality_small_d_scan_oracle():
 
 def test_pell_famous_large_solution():
     assert pell_fundamental(61) == (1766319049, 226153980)
+
+
+def test_pell_fundamental_checks_square_once(monkeypatch):
+    """The radicand rule tests d for a square; the walk on 4d does not test again."""
+    calls = []
+    is_square_ = arith.is_square
+
+    def counting(n):
+        calls.append(n)
+        return is_square_(n)
+
+    monkeypatch.setattr(arith, "is_square", counting)
+    assert pell_fundamental(13) == (649, 180)
+    assert calls == [13]
 
 
 def test_pell_rejects_bad_input():

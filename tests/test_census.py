@@ -31,6 +31,8 @@ from commcensus.census import (
 )
 from commcensus.errors import DomainError, SearchExhaustedError
 from commcensus.quadratic import (
+    QuadField,
+    QuadOrder,
     SplitType,
     field_from_d,
     order_from_disc,
@@ -415,6 +417,22 @@ def test_nonsplit_pool_of_finite_system(monkeypatch):
     assert moduli == []
 
 
+def test_finite_census_past_int64():
+    """A finite system's nonsplit primes are bounded by its discs alone, not by int64.
+
+    p = 18446744073709551653 is a prime past 2**64 with p = 1 mod 4 and p = 3 mod 5:
+    p is inert in Q(sqrt 5) and 5 in Q(sqrt p), and both ramify in Q(sqrt 5p).
+    Q(sqrt p) alone is infinite: its pool up to 10**30 is past the sieve budget.
+    """
+    p = 18446744073709551653
+    fields = (field_from_d(5), field_from_d(p), field_from_d(5 * p))
+    assert nonsplit_primes(fields) == (5, p)
+    assert [c.ram for c in count_algebras(fields).classes] == [RamSet(()), RamSet((5, p))]
+    assert census._nonsplit_pool(census._system(fields), 10**30).tolist() == [5, p]
+    with pytest.raises(SearchExhaustedError):
+        census._nonsplit_pool(census._system(fields[1:2]), 10**30)
+
+
 def _tables_built(monkeypatch) -> list[int]:
     """Record the disc of every character_table the census builds from here on."""
     built = []
@@ -765,6 +783,17 @@ def test_selectivity_random_pairs_certified():
         cert = verdict.certificate_prime
         assert fld.disc % cert == 0
         assert splitting(fld, cert) is SplitType.RAMIFIED
+
+
+@pytest.mark.parametrize(
+    "d, reason",
+    [(1, "need an integer d > 1"), (12, "d is not squarefree"), (-3, "need an integer d > 1")],
+)
+def test_selectivity_rejects_a_malformed_field(d, reason):
+    """The certificate is read through prime_disc_vector, which checks the field."""
+    message = rf"^QuadField\(d={d}\) is not a real quadratic field: {reason}$"
+    with pytest.raises(DomainError, match=message):
+        selectivity_check(RamSet((2, 5)), QuadOrder(QuadField(d), 1))
 
 
 def test_selectivity_rejects_definite():

@@ -179,6 +179,14 @@ def test_spectrum_from_radicands():
     assert [f.disc for f in spec.fields()] == [12, 17, 204]
 
 
+def test_spectrum_from_a_radicand_past_the_rho_budget():
+    """t**2 - 4 = 1321 * f**2 for the unit trace t of Q(sqrt 1321): trial division leaves
+    the square of f's part past 10**6, whose root rho could not split within RHO_BUDGET."""
+    (g,) = spectrum_from_inputs(radicands=[1321]).classes
+    assert g.field == field_from_d(1321)
+    assert g.trace**2 - 4 == g.field.disc * g.order.conductor**2
+
+
 def test_spectrum_mixed_inputs_dedup_and_sort():
     spec = spectrum_from_inputs(
         traces=[100, 4],
