@@ -8,7 +8,6 @@ maximal-order length spectra contain every prescribed geodesic.
 from .arith import (
     PellSolution,
     PrimeFactorization,
-    cf_sqrt,
     factorize,
     is_prime,
     kronecker,
@@ -53,7 +52,6 @@ from .quaternion import (
     coarea_rational,
     from_hilbert,
     hilbert_local,
-    zeta_k2_real_quadratic,
 )
 from .spectra import (
     GeodesicClass,
@@ -88,7 +86,6 @@ __all__ = [
     "SpectrumSpec",
     "SplitType",
     "admits_embedding",
-    "cf_sqrt",
     "coarea_general",
     "coarea_rational",
     "construct_family",
@@ -114,5 +111,4 @@ __all__ = [
     "squarefree_part",
     "trace_to_length",
     "verify_chebotarev_interval",
-    "zeta_k2_real_quadratic",
 ]

@@ -27,7 +27,6 @@ __all__ = [
     "squarefree_part",
     "kronecker",
     "character_table",
-    "cf_sqrt",
     "pell_fundamental",
     "norm_one_fundamental",
     "prime_segments",
@@ -309,21 +308,6 @@ def _partial_quotients(D: int) -> Iterator[tuple[int, int]]:
         m = a * q - m
         q = (D - m * m) // q
         yield a, q
-
-
-def cf_sqrt(d: int) -> tuple[int, list[int]]:
-    """Continued fraction of sqrt(d) for non-square d > 1.
-
-    Returns (a0, period). The expansion is [a0; period repeated], with the
-    period ending at the term 2*a0.
-    """
-    d = _check_radicand(d)
-    quotients = (a for a, _ in _partial_quotients(4 * d))  # theta = sqrt(4d)/2
-    a0 = next(quotients)
-    period = [next(quotients)]
-    while period[-1] != 2 * a0:
-        period.append(next(quotients))
-    return a0, period
 
 
 def norm_one_fundamental(D: int) -> tuple[int, int]:

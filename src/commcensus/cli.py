@@ -14,10 +14,10 @@ import csv
 import io
 import json
 import logging
-import math
 import os
 import sys
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any
 
 from .census import (
@@ -32,7 +32,7 @@ from .census import (
 )
 from .errors import DomainError, NotRealizableError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, order_from_disc
-from .quaternion import PiMultiple, RamSet, coarea_general, coarea_rational, zeta_k_minus1
+from .quaternion import RamSet, coarea_general, coarea_rational, zeta_k_minus1
 from .spectra import DEFAULT_TOL, SpectrumSpec, _check_tol, radicand_fields, spectrum_from_inputs
 
 log = logging.getLogger("commcensus")
@@ -255,19 +255,24 @@ def cmd_volume(args) -> Report:
         coarea = coarea_rational(RamSet(tuple(primes)))
         result = {"ram": primes, "coarea_exact": str(coarea), "coarea": coarea.value}
         return Report("volume", {"ramified": primes}, result)
-    if args.disc is None:
-        raise DomainError("provide --ramified, or --disc with the general form")
-    degree, zeta2, zeta_m1 = args.degree, args.zeta2, None
-    if zeta2 is None:
-        if degree != 2:
-            raise DomainError("--zeta2 is required unless --degree 2")
-        zeta_m1 = zeta_k_minus1(args.disc)
-        zeta2 = 4 * math.pi**4 * float(zeta_m1) / args.disc**1.5  # zeta_k2_real_quadratic's value
+    if args.disc is not None:
+        if args.zeta_minus1 is not None or args.degree != 2:
+            raise DomainError(
+                "--disc means degree 2 and gives zeta_k(-1): no --zeta-minus1, no other --degree"
+            )
+        zeta = zeta_k_minus1(args.disc)
+    elif args.zeta_minus1 is not None:
+        try:
+            zeta = Fraction(args.zeta_minus1)
+        except (ValueError, ZeroDivisionError):
+            text = args.zeta_minus1
+            raise DomainError(f"--zeta-minus1: {text!r} is not a fraction p/q") from None
+    else:
+        raise DomainError("provide --ramified, --disc, or --degree with --zeta-minus1")
     norms = _parse_list(args, "norms")
-    inputs = {"degree": degree, "disc": args.disc, "zeta2": zeta2, "norms": norms}
-    result = {"coarea": coarea_general(degree, args.disc, zeta2, norms), "zeta2": zeta2}
-    if zeta_m1 is not None:  # Borel: 2 * pi * zeta_k(-1) * prod(N - 1)
-        result["coarea_exact"] = str(PiMultiple(2 * zeta_m1 * math.prod(n - 1 for n in norms)))
+    inputs = {"degree": args.degree, "disc": args.disc, "zeta_minus1": str(zeta), "norms": norms}
+    coarea = coarea_general(args.degree, zeta, norms)
+    result = {"coarea_exact": str(coarea), "coarea": coarea.value, "zeta_minus1": str(zeta)}
     return Report("volume", inputs, result)
 
 
@@ -358,9 +363,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("volume", help="coarea of a maximal order unit group")
     p.add_argument("--ramified", help="comma separated finite ramified primes")
-    p.add_argument("--degree", type=int, default=2, help="base field degree (general form)")
-    p.add_argument("--disc", type=int, help="base field discriminant (general form)")
-    p.add_argument("--zeta2", type=float, help="zeta_k(2); computed for degree 2 if omitted")
+    p.add_argument("--degree", type=int, default=2, help="degree of the totally real base field")
+    p.add_argument("--disc", type=int, help="real quadratic base field discriminant (degree 2)")
+    p.add_argument("--zeta-minus1", dest="zeta_minus1", help="zeta_k(-1) of the base field as p/q")
     p.add_argument("--norms", help="comma separated ramified prime norms (general form)")
     _add_common(p)
     p.set_defaults(func=cmd_volume)

@@ -2,8 +2,9 @@
 
 An algebra class is pinned down by the finite set of places where it
 ramifies (even cardinality, by reciprocity). Local behavior at a prime is
-computed with Hilbert symbols; the covolume of the unit group of a maximal
-order in the indefinite case comes out as an exact rational multiple of pi.
+computed with Hilbert symbols. The coarea of the unit group of a maximal
+order in the indefinite case is an exact rational multiple of pi, in every
+degree of the totally real base field k, since zeta_k(-1) is rational.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ __all__ = [
     "coarea_general",
     "algebra_class",
     "zeta_k_minus1",
-    "zeta_k2_real_quadratic",
 ]
 
 INFINITE_PLACE = math.inf
@@ -211,13 +211,14 @@ def admits_embedding(b: RamSet, L: QuadField) -> bool:
 
 
 def coarea_rational(b: RamSet) -> PiMultiple:
-    """Coarea pi/3 * prod(p - 1) of the maximal-order unit group over Q.
+    """Coarea pi/3 * prod(p - 1) over Q: coarea_general's degree 1, zeta(-1) = -1/12.
 
     Only indefinite algebras give Fuchsian groups; at_infinity is rejected.
+    The primes of a RamSet are proven already, so they are not checked again.
     """
     if b.at_infinity:
         raise DomainError("definite algebra: no Fuchsian group, no coarea")
-    return PiMultiple(Fraction(math.prod(p - 1 for p in b.finite_primes), 3))
+    return _coarea(1, Fraction(-1, 12), math.prod(p - 1 for p in b.finite_primes))
 
 
 def algebra_class(b: RamSet) -> AlgebraClass:
@@ -225,32 +226,48 @@ def algebra_class(b: RamSet) -> AlgebraClass:
     return AlgebraClass(b)
 
 
-def coarea_general(n_k: int, d_k: int, zeta_k2: float, prime_norms) -> float:
-    """Coarea over a totally real base field of degree n_k and discriminant d_k.
+def coarea_general(n_k: int, zeta_minus1: int | Fraction, prime_norms) -> PiMultiple:
+    """Coarea 2**(3 - n_k) * pi * |zeta_k(-1)| * prod(N(p) - 1) over a totally real k of degree n_k.
 
-    8 * pi * d_k**(3/2) * zeta_k(2) / (4*pi**2)**n_k * prod(N(p) - 1), the
-    norms running over the finite ramified primes of the algebra.
+    Borel's 8 * pi * d_k**(3/2) * zeta_k(2) * prod(N(p) - 1) / (4 * pi**2)**n_k, through
+    d_k**(3/2) * zeta_k(2) = (2 * pi**2)**n_k * |zeta_k(-1)| (Borel, Ann. Sc. Norm. Sup. Pisa 8,
+    1981; Maclachlan-Reid, GTM 219, 11.1). zeta_k(-1) is rational (Siegel-Klingen), nonzero
+    with the sign (-1)**n_k. The norms run over the finite ramified primes.
     """
-    n_k, d_k = _check_integer(n_k, "degree"), _check_integer(d_k, "discriminant")
-    if n_k < 1 or d_k < 1:
-        raise DomainError("need degree >= 1 and positive discriminant")
-    if not zeta_k2 > 1.0:
-        raise DomainError(f"zeta_k(2) must exceed 1, got {zeta_k2}")
-    if not math.isfinite(zeta_k2):
-        raise DomainError(f"zeta_k(2) must be finite, got {zeta_k2}")
+    n_k = _check_integer(n_k, "degree")
+    if n_k < 1:
+        raise DomainError(f"need degree >= 1, got {n_k}")
+    if not isinstance(zeta_minus1, (int, Fraction)):
+        raise DomainError(f"zeta_k(-1) = {zeta_minus1!r} is not an int or a Fraction")
+    if zeta_minus1 == 0 or (zeta_minus1 < 0) != (n_k % 2 == 1):
+        raise DomainError(
+            f"zeta_k(-1) of a totally real field of degree {n_k} is nonzero"
+            f" with the sign (-1)**{n_k}, got {zeta_minus1}"
+        )
     prod = 1
     for norm in prime_norms:
         nm = _integer(norm)
         if nm is None or nm < 2 or len(factorize(nm).factors) != 1:
             raise DomainError(f"prime norm {norm} is not a prime power")
         prod *= nm - 1
-    try:
-        value = 8 * math.pi * d_k**1.5 * zeta_k2 / (4 * math.pi**2) ** n_k * prod
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise DomainError("coarea overflows the float range")
-    return value
+    return _coarea(n_k, zeta_minus1, prod)
+
+
+def _coarea(n_k: int, zeta_minus1: int | Fraction, prod: int) -> PiMultiple:
+    """coarea_general past its checks; DomainError unless coef * pi is a finite float > 0."""
+    num, den, shift = abs(zeta_minus1.numerator) * prod, zeta_minus1.denominator, n_k - 3
+    # coef = num / (den * 2**shift) is within a factor 2 of 2**e: past |e| = 1100 it is
+    # far outside the float range, and 2**shift is never built
+    e = num.bit_length() - den.bit_length() - shift
+    if abs(e) < 1100:
+        coef = Fraction(num, den << shift) if shift >= 0 else Fraction(num << -shift, den)
+        try:
+            value = float(coef) * math.pi
+        except OverflowError:
+            value = math.inf
+        if 0 < value < math.inf:
+            return PiMultiple(coef)
+    raise DomainError("coarea is past the float range")
 
 
 def zeta_k_minus1(D: int) -> Fraction:
@@ -273,8 +290,3 @@ def zeta_k_minus1(D: int) -> Fraction:
     ]
     # b and -b give equal terms; b = 0, for even D, counts once
     return Fraction(2 * sum(sigma) - (1 - D % 2) * sigma[0], 60)
-
-
-def zeta_k2_real_quadratic(D: int) -> float:
-    """zeta_k(2) = 4 * pi**4 * zeta_k(-1) / D**1.5, the functional equation, for fundamental D."""
-    return 4 * math.pi**4 * float(zeta_k_minus1(D)) / D**1.5

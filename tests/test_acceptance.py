@@ -14,6 +14,7 @@ import math
 import random
 import sys
 import time
+from fractions import Fraction
 
 import oracles
 from commcensus import cli
@@ -122,9 +123,8 @@ def test_criterion_03_family_powers_of_two():
     return "n=0..4"
 
 
-@criterion(4, 1.0, "coarea closed forms and general formula agree")
+@criterion(4, 1.0, "coarea closed forms and general formula agree exactly")
 def test_criterion_04_coarea():
-    zeta_q2 = math.pi**2 / 6
     for ram, expect in [((), math.pi / 3), ((3, 17), 32 * math.pi / 3)]:
         exact = coarea_rational(RamSet(ram))
         assert abs(float(exact) - expect) <= 1e-12 * expect
@@ -132,9 +132,7 @@ def test_criterion_04_coarea():
     primes = [p for p in range(2, 120) if oracles.trial_is_prime(p)]
     for _ in range(50):
         ram = tuple(sorted(rng.sample(primes, 2 * rng.randrange(0, 4))))
-        rational = float(coarea_rational(RamSet(ram)))
-        general = coarea_general(1, 1, zeta_q2, list(ram))
-        assert abs(general - rational) <= 1e-12 * rational
+        assert coarea_general(1, Fraction(-1, 12), ram) == coarea_rational(RamSet(ram))
     return "50 random ramification sets"
 
 

@@ -11,7 +11,6 @@ import oracles
 from commcensus import arith
 from commcensus.arith import (
     PellSolution,
-    cf_sqrt,
     character_table,
     factorize,
     is_prime,
@@ -201,22 +200,27 @@ def test_character_table_matches_prime_disc_oracle():
             character_table(bad)
 
 
-def test_cf_sqrt_examples():
-    assert cf_sqrt(2) == (1, [2])
-    assert cf_sqrt(3) == (1, [1, 2])
-    assert cf_sqrt(7) == (2, [1, 1, 1, 4])
-    assert cf_sqrt(13) == (3, [1, 1, 1, 1, 6])
-    with pytest.raises(DomainError):
-        cf_sqrt(9)
-    with pytest.raises(DomainError):
-        cf_sqrt(1)
+def _sqrt_expansion(d: int) -> tuple[int, list[int]]:
+    """sqrt(d) = [a0; period repeated], read off _partial_quotients(4d): theta = sqrt(4d)/2."""
+    quotients = (a for a, _ in arith._partial_quotients(4 * d))
+    a0 = next(quotients)
+    period = [next(quotients)]
+    while period[-1] != 2 * a0:
+        period.append(next(quotients))
+    return a0, period
+
+
+def test_partial_quotients_sqrt_examples():
+    assert _sqrt_expansion(2) == (1, [2])
+    assert _sqrt_expansion(3) == (1, [1, 2])
+    assert _sqrt_expansion(7) == (2, [1, 1, 1, 4])
+    assert _sqrt_expansion(13) == (3, [1, 1, 1, 1, 6])
 
 
 def test_radicand_rule_is_shared():
-    """cf_sqrt, pell_fundamental and field_from_d read a radicand by one rule."""
+    """pell_fundamental and field_from_d read a radicand by one rule."""
     assert pell_fundamental(12.0) == pell_fundamental(12)
-    assert cf_sqrt(7.0) == cf_sqrt(7)
-    for f in (cf_sqrt, pell_fundamental, field_from_d):
+    for f in (pell_fundamental, field_from_d):
         for bad in (3.5, math.nan, math.inf, "7"):
             with pytest.raises(DomainError, match="is not an integer radicand"):
                 f(bad)
@@ -226,12 +230,12 @@ def test_radicand_rule_is_shared():
             f(1.0)
 
 
-def test_cf_sqrt_period_shape():
-    """Period ends at 2*a0 and the body is a palindrome."""
+def test_partial_quotients_sqrt_period_shape():
+    """The period of sqrt(d) ends at 2*a0 and its body is a palindrome."""
     for d in range(2, 300):
         if is_square(d):
             continue
-        a0, period = cf_sqrt(d)
+        a0, period = _sqrt_expansion(d)
         assert period[-1] == 2 * a0
         body = period[:-1]
         assert body == body[::-1], d

@@ -902,8 +902,8 @@ _FIELDS_3_17 = (field_from_d(3), field_from_d(17))
             (10**6, 10**5), (1e6, 1e5), [(1e6 + 0.5, 10**5), (10**6, math.nan)],
         ),
         (
-            lambda n, d: quaternion.coarea_general(n, d, 1.2, []),
-            (2, 5), (2.0, 5.0), [(2.5, 5), (2, 5.5)],
+            lambda n: quaternion.coarea_general(n, Fraction(1, 30), []),
+            (2,), (2.0,), [(2.5,), (math.inf,)],
         ),
     ],
     ids=["construct_family", "verify_chebotarev_interval", "coarea_general"],

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -96,9 +97,61 @@ def test_volume_rational(capsys):
 def test_volume_general_degree_two(capsys):
     code, doc = run_json(capsys, "volume", "--disc", "5")
     assert code == 0
-    assert doc["result"]["zeta2"] == pytest.approx(1.1616711956, abs=1e-9)
-    assert doc["result"]["coarea"] == pytest.approx(math.pi / 15, rel=1e-9)
+    assert doc["result"]["zeta_minus1"] == "1/30"
+    assert doc["result"]["coarea"] == pytest.approx(math.pi / 15, rel=1e-11)
     assert doc["result"]["coarea_exact"] == "pi/15"
+
+
+def test_volume_general_degree_three(capsys):
+    """The cubic field of discriminant 49 has zeta_k(-1) = -1/21, so its coarea is pi/21."""
+    code, doc = run_json(capsys, "volume", "--degree", "3", "--zeta-minus1=-1/21")
+    assert code == 0
+    assert doc["result"]["zeta_minus1"] == "-1/21"
+    assert doc["result"]["coarea_exact"] == "pi/21"
+    assert doc["result"]["coarea"] == pytest.approx(math.pi / 21, rel=1e-11)
+    code, doc = run_json(capsys, "volume", "--degree", "3", "--zeta-minus1=-1/21", "--norms", "8")
+    assert doc["result"]["coarea_exact"] == "pi/3"
+
+
+def test_volume_zeta_minus1_source_is_one_flag(capsys):
+    """--disc gives zeta_k(-1) for degree 2; with --zeta-minus1 or another --degree it is an error."""
+    for argv in (
+        ("--disc", "5", "--zeta-minus1", "1/30"),
+        ("--disc", "5", "--degree", "3"),
+        ("--degree", "3"),
+        ("--degree", "3", "--zeta-minus1", "1/30"),  # a cubic zeta_k(-1) is negative
+        ("--degree", "3", "--zeta-minus1", "inf"),
+        ("--degree", "3", "--zeta-minus1", "1/0"),
+    ):
+        code, doc = run_json(capsys, "volume", *argv)
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
+
+
+def test_volume_past_float_range_exits_2(capsys):
+    """Both volume paths reach one float-range rule: a coarea past it exits 2, not 1."""
+    primes = []
+    p = 10**15
+    while len(primes) < 22:
+        p += 1
+        if arith.is_prime(p):
+            primes.append(p)
+    argvs = (
+        ("--ramified", ",".join(map(str, primes))),
+        ("--degree", "3", "--zeta-minus1=-1e308"),  # a finite coefficient, an infinite product with pi
+    )
+    for argv in argvs:
+        code, doc = run_json(capsys, "volume", *argv)
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
+        assert doc["error"]["message"] == "coarea is past the float range"
+
+
+def test_volume_huge_degree_exits_2_at_once(capsys):
+    """2**(3 - n) underflows; the rule rejects it before any 2**(n - 3) is built."""
+    start = time.perf_counter()
+    code, doc = run_json(capsys, "volume", "--degree", "1000000000000", "--zeta-minus1", "1")
+    assert time.perf_counter() - start < 1.0
+    assert (code, doc["error"]["type"]) == (2, "DomainError")
+    assert doc["error"]["message"] == "coarea is past the float range"
 
 
 def test_chebotarev_command(capsys):
@@ -222,7 +275,7 @@ def _reject_constant(token):
 
 
 def test_non_finite_floats_are_domain_errors(capsys):
-    """NaN, infinite or negative tol, an infinite zeta_k(2) and an overflowing coarea.
+    """NaN, infinite or negative tol, a non-finite zeta_k(-1) and a coarea past the float range.
 
     Each exits 2 with a document that parses as strict JSON (no NaN or Infinity).
     """
@@ -230,9 +283,10 @@ def test_non_finite_floats_are_domain_errors(capsys):
         ("spectra", "--lengths", "3.0", "--tol", "nan"),
         ("spectra", "--traces", "4", "--tol", "inf"),
         ("pi", "--lengths", "3.0", "--tol", "-1", "--volume", "10"),
-        ("volume", "--disc", "5", "--zeta2", "inf", "--degree", "3"),
-        ("volume", "--disc", "5", "--zeta2", "1e308", "--degree", "1"),
-        ("volume", "--disc", "5", "--zeta2", "2", "--degree", "400"),
+        ("volume", "--degree", "3", "--zeta-minus1", "inf"),
+        ("volume", "--degree", "2", "--zeta-minus1", "nan"),
+        ("volume", "--degree", "1", "--zeta-minus1=-1e400"),
+        ("volume", "--degree", "1100", "--zeta-minus1", "2"),
         ("count", "--radicands", "3,17,51", "--tol", "nan"),
         ("count", "--radicands", "3,17,51", "--tol", "inf"),
         ("count", "--radicands", "3,17,51", "--tol", "-1"),

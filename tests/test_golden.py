@@ -33,6 +33,7 @@ CASES = {
     "family": (["family", "--n", "3"], None),
     "volume_ramified": (["volume", "--ramified", "3,17"], None),
     "volume_disc": (["volume", "--disc", "5"], None),
+    "volume_degree3": (["volume", "--degree", "3", "--zeta-minus1=-1/21"], None),
     "chebotarev": (["chebotarev", "--radicands", "3,17", "--X", "1000000", "--Y", "100000"], None),
     "selectivity": (["selectivity", "--ramified", "2,5", "--order-disc", "45"], None),
     # both verdicts, a truncated class table, a unit trace past the rho budget's reach
@@ -48,6 +49,7 @@ CASES = {
     "spectra_trace_2": (["spectra", "--traces", "2"], None),
     "spectra_unrealizable_length": (["spectra", "--lengths", "1.5"], None),
     "volume_disc_7": (["volume", "--disc", "7"], None),
+    "volume_float_overflow": (["volume", "--degree", "3", "--zeta-minus1=-1e308"], None),
     "selectivity_disc_7": (["selectivity", "--ramified", "2,5", "--order-disc", "7"], None),
     "family_search_exhausted": (["family", "--n", "3", "--search-bound", "50"], None),
     # t**2 - 4 = 1000033 * 1000037 needs rho, which one iteration cannot finish

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import functools
 import math
 import os
 import pickle
@@ -30,7 +31,6 @@ from commcensus.quaternion import (
     coarea_rational,
     from_hilbert,
     hilbert_local,
-    zeta_k2_real_quadratic,
     zeta_k_minus1,
 )
 
@@ -277,66 +277,116 @@ def test_algebra_class_flags():
 
 
 def test_coarea_general_reproduces_rational():
-    """Plugging k = Q into the full formula lands on the fast path."""
+    """Degree 1 with zeta(-1) = -1/12 is coarea_rational, exactly."""
     rng = random.Random(318)
-    zeta_q2 = math.pi**2 / 6
-    assert abs(coarea_general(1, 1, zeta_q2, []) - math.pi / 3) < 1e-12 * math.pi
+    zeta_q = Fraction(-1, 12)
+    assert coarea_general(1, zeta_q, []) == PiMultiple(Fraction(1, 3))
     pool = oracles.trial_primes(2, 120)
     for _ in range(50):
         primes = sorted(rng.sample(pool, rng.choice((0, 2, 4))))
-        want = float(coarea_rational(RamSet(tuple(primes))))
-        got = coarea_general(1, 1, zeta_q2, primes)
-        assert abs(got - want) <= 1e-12 * want
+        assert coarea_general(1, zeta_q, primes) == coarea_rational(RamSet(tuple(primes)))
+
+
+def test_coarea_rational_proves_no_prime_again(monkeypatch):
+    """A RamSet's primes are proven when it is built; its coarea neither tests nor factors them."""
+    ram = RamSet((3, 17, 1000003, 1000033))
+    calls = []
+    monkeypatch.setattr(quaternion, "is_prime", lambda n: calls.append(n))
+    monkeypatch.setattr(quaternion, "factorize", lambda n: calls.append(n))
+    assert coarea_rational(ram).coef == Fraction(2 * 16 * 1000002 * 1000032, 3)
+    assert calls == []
 
 
 def test_coarea_general_real_quadratic_value():
-    # over the field of golden-ratio integers with no finite ramification
-    # the formula collapses to pi/15 (zeta closed form 2 pi^4 / (75 sqrt 5))
-    got = coarea_general(2, 5, zeta_k2_real_quadratic(5), [])
-    assert abs(got - math.pi / 15) < 1e-9
+    # over the field of golden-ratio integers, zeta_k(-1) = 1/30, and with no
+    # finite ramification the coarea is 2 pi / 30 = pi/15
+    assert coarea_general(2, zeta_k_minus1(5), []) == PiMultiple(Fraction(1, 15))
     # prime-power norms are accepted, composite norms are not
-    coarea_general(2, 5, zeta_k2_real_quadratic(5), [4, 5, 9])
-    with pytest.raises(DomainError):
-        coarea_general(2, 5, zeta_k2_real_quadratic(5), [6])
+    assert coarea_general(2, Fraction(1, 30), [4, 5, 9]).coef == Fraction(2 * 3 * 4 * 8, 30)
+    with pytest.raises(DomainError, match="is not a prime power"):
+        coarea_general(2, Fraction(1, 30), [6])
+
+
+def test_coarea_general_cubic_field_of_disc_49():
+    """Degree 3: zeta_k(-1) = -1/21 for the cubic field of discriminant 49 gives pi/21.
+
+    The identity behind it, d_k**(3/2) * zeta_k(2) = (2 pi**2)**3 * |zeta_k(-1)|, is
+    checked against zeta(2) * |L(2, chi)|**2 summed directly, within its tail bound.
+    """
+    assert coarea_general(3, Fraction(-1, 21), []) == PiMultiple(Fraction(1, 21))
+    terms = 2 * 10**6
+    identity = (2 * math.pi**2) ** 3 / 21 / 49**1.5
+    tail = 4 * (math.pi**2 / 6) ** 2 / terms**2
+    assert abs(oracles.zeta_k2_cubic7_direct(terms) - identity) <= tail + 1e-14
 
 
 def test_coarea_general_validation():
-    with pytest.raises(DomainError):
-        coarea_general(0, 1, 2.0, [])
-    with pytest.raises(DomainError):
-        coarea_general(1, 0, 2.0, [])
-    with pytest.raises(DomainError):
-        coarea_general(1, 1, 0.99, [])
+    for degree in (0, -3):
+        with pytest.raises(DomainError, match=r"^need degree >= 1"):
+            coarea_general(degree, Fraction(1, 30), [])
+    for bad in (1 / 30, 0.5, 2.0, math.inf, math.nan, "1/30"):
+        with pytest.raises(DomainError, match="is not an int or a Fraction"):
+            coarea_general(2, bad, [])
+    # zeta_k(-1) of a totally real field of degree n is nonzero with the sign (-1)**n
+    for degree, zeta in ((2, 0), (3, Fraction(0)), (1, Fraction(1, 12)), (2, -1), (3, Fraction(1, 21))):
+        with pytest.raises(DomainError, match=r"nonzero with the sign \(-1\)\*\*"):
+            coarea_general(degree, zeta, [])
+    assert coarea_general(2, 1, []) == PiMultiple(Fraction(2))
 
 
 def test_coarea_general_rejects_non_integer_norms():
-    assert coarea_general(1, 1, 1.6449, [4.0, 9]) == coarea_general(1, 1, 1.6449, [4, 9])
+    zeta = Fraction(1, 30)
+    assert coarea_general(2, zeta, [4.0, 9]) == coarea_general(2, zeta, [4, 9])
     for bad in (4.7, math.nan):
         with pytest.raises(DomainError, match="is not a prime power"):
-            coarea_general(1, 1, 1.6449, [bad])
+            coarea_general(2, zeta, [bad])
 
 
 def test_coarea_general_rejects_non_finite_values():
-    with pytest.raises(DomainError, match="finite"):
-        coarea_general(3, 5, math.inf, [])
-    for degree, zeta2 in ((1, 1e308), (400, 2.0)):
-        with pytest.raises(DomainError, match="overflow"):
-            coarea_general(degree, 5, zeta2, [])
-    with pytest.raises(DomainError, match="overflow"):
-        coarea_general(1, 10**400, 2.0, [])
+    """One float-range rule: the coarea's float rendering is a positive finite float."""
+    for degree, zeta, norms in (
+        (2, 10**400, []),  # the coefficient's float overflows
+        (3, -(10**308), []),  # its float is finite, but not its product with pi
+        (1, Fraction(-1, 12), [2**1100]),  # a norm past the float range
+        (10**12, 1, []),  # 2**(3 - n) underflows: it is never built
+    ):
+        with pytest.raises(DomainError, match=r"^coarea is past the float range$"):
+            coarea_general(degree, zeta, norms)
+    assert coarea_general(3, -(10**307), []).value == pytest.approx(math.pi * 1e307)
+    primes = (2**521 - 1, 2**607 - 1)  # Mersenne primes
+    with pytest.raises(DomainError, match=r"^coarea is past the float range$"):
+        coarea_rational(RamSet(primes))
+
+
+@functools.cache
+def _fundamental_discs_below(bound: int) -> tuple[int, ...]:
+    discs = []
+    for D in range(5, bound):
+        try:
+            oracles.prime_disc_split(D)
+        except ValueError:
+            continue
+        if D % 4 in (0, 1):
+            discs.append(D)
+    return tuple(discs)
+
+
+def _zeta_k2(D: int) -> float:
+    """zeta_k(2) of the real quadratic field of discriminant D, by the functional equation."""
+    return 4 * math.pi**4 * float(zeta_k_minus1(D)) / D**1.5
 
 
 def test_zeta_k2_against_closed_forms():
-    assert abs(zeta_k2_real_quadratic(5) - 2 * math.pi**4 / (75 * math.sqrt(5))) < 1e-10
-    assert abs(zeta_k2_real_quadratic(8) - math.sqrt(2) * math.pi**4 / 96) < 1e-10
+    assert abs(_zeta_k2(5) - 2 * math.pi**4 / (75 * math.sqrt(5))) < 1e-10
+    assert abs(_zeta_k2(8) - math.sqrt(2) * math.pi**4 / 96) < 1e-10
 
 
 def test_zeta_k2_independent_summation_routes():
-    """Natural-order series and Euler product agree with the library."""
-    lib5 = zeta_k2_real_quadratic(5)
+    """Natural-order series and Euler product agree with the functional equation."""
+    lib5 = _zeta_k2(5)
     assert abs(lib5 - 1.1616711956) < 5e-11  # oracle-confirmed digits
     assert abs(lib5 - oracles.zeta_k2_direct(5, terms=10**6)) < 1e-9
-    lib8 = zeta_k2_real_quadratic(8)
+    lib8 = _zeta_k2(8)
     direct = oracles.zeta_k2_direct(8, terms=10**6)
     euler = oracles.zeta_k2_euler(8, plimit=10**7)
     assert abs(lib8 - euler) < 1e-8
@@ -344,10 +394,23 @@ def test_zeta_k2_independent_summation_routes():
     assert abs(lib8 - direct) < 1e-9
 
 
-def test_zeta_k2_rejects_bad_discs():
+def test_functional_equation_for_every_fundamental_disc_below_2000():
+    """4 pi**4 zeta_k(-1) / D**1.5 is zeta(2) L(2, chi_D), summed directly to N terms.
+
+    The direct sum's tail is below zeta(2) * 2D / N**2; 1e-12 covers float rounding.
+    """
+    terms = 10**5
+    discs = _fundamental_discs_below(2000)
+    assert len(discs) == 607
+    for D in discs:
+        bound = (math.pi**2 / 6) * 2 * D / terms**2 + 1e-12
+        assert abs(_zeta_k2(D) - oracles.zeta_k2_direct(D, terms=terms)) <= bound, D
+
+
+def test_zeta_k_minus1_rejects_bad_discs():
     for bad in (1, 20, 45, 32, -4, 0, 13**2):
         with pytest.raises(DomainError):
-            zeta_k2_real_quadratic(bad)
+            zeta_k_minus1(bad)
 
 
 def test_zeta_k_minus1_closed_forms():
@@ -365,14 +428,7 @@ def test_zeta_k_minus1_reads_disc_before_budget():
 
 def test_zeta_k_minus1_matches_bernoulli_oracle():
     """The divisor sum equals B_{2,chi}/24 exactly for every fundamental D < 2000."""
-    discs = []
-    for D in range(5, 2000):
-        try:
-            oracles.prime_disc_split(D)
-        except ValueError:
-            continue
-        if D % 4 in (0, 1):
-            discs.append(D)
+    discs = _fundamental_discs_below(2000)
     assert len(discs) == 607
     for D in discs:
         assert zeta_k_minus1(D) == oracles.zeta_k_minus1_bernoulli(D), D
