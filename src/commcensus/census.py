@@ -50,8 +50,8 @@ __all__ = [
 CLASS_BUDGET = 1 << 21
 
 # Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half
-# the primes), peaks near 1.2 bytes of RSS per number sieved (short_interval_delta
-# at V = 3.8e8, W = 3.8e7: 399,160,597 numbers, 520 MB), so about 0.5 GB at the budget.
+# the primes), peaks near 0.5 bytes of RSS per number sieved (short_interval_delta
+# at V = 3.8e8, W = 3.8e7: 399,160,597 numbers, 195 MB), so about 0.2 GB at the budget.
 SIEVE_BUDGET = 4 * 10**8
 
 # Default bound on construct_family's generating primes and fourth-field radicand.
@@ -207,7 +207,7 @@ def count_algebras(fields) -> CensusReport:
     """
     system = _system(fields)
     s0 = _finite(system)
-    fac = [p - 1 for p in s0]
+    fac = np.array(s0, dtype=object) - 1
     classes = _classes(fac, math.prod(fac), 2 ** (len(s0) - 1) if s0 else 1)
     return CensusReport(
         fields=system.fields,
@@ -276,12 +276,15 @@ def _nonsplit_pool(system: _System, pmax: int) -> np.ndarray:
     """
     # sieved first: past SIEVE_BUDGET that raises before a ramified p overflows int64
     blocks = list(_inert_blocks(system, 2, pmax))
-    ramified = np.array(
+    blocks.append(np.array(
         [p for p in system.ramified
          if p <= pmax and all(splitting(fld, p) is not SplitType.SPLIT for fld in system.fields)],
         dtype=object if system.finite else np.int64,
-    )
-    return np.sort(np.concatenate([ramified, *blocks]), kind="stable")
+    ))
+    pool = np.concatenate(blocks)
+    del blocks  # freed before the sort; the primes are distinct, so an unstable sort will do
+    pool.sort()
+    return pool
 
 
 def _pi_within(bits: int) -> tuple[Fraction, Fraction]:
@@ -318,9 +321,14 @@ def _cutoff(volume: float | Fraction) -> int:
         bits *= 2
 
 
-def _ram_factors(system: _System, top: int) -> list[int]:
-    """Ascending factors p - 1 of the primes a class within cutoff top may ramify at."""
-    return (_nonsplit_pool(system, max(top + 1, 2)) - 1).tolist()
+def _ram_factors(system: _System, top: int) -> np.ndarray:
+    """Ascending factors p - 1 of the primes a class within cutoff top may ramify at.
+
+    An int64 array for an infinite system and an object one for a finite one, as the pool.
+    """
+    fac = _nonsplit_pool(system, max(top + 1, 2))
+    fac -= 1
+    return fac
 
 
 def _odd_nodes(fac: list[int], top: int):
@@ -348,18 +356,31 @@ def _odd_nodes(fac: list[int], top: int):
                 stack.append((j + 1, nxt, chosen + (j,)))
 
 
-def _count_even_ram_sets(fac: list[int], cutoffs: list[int]) -> list[int]:
+def _count_even_ram_sets(fac: np.ndarray, cutoffs: list[int]) -> list[int]:
     """Number of even subsets R of the factors with prod(R) <= N, per cutoff N.
 
-    The integer cutoffs ascend and share one traversal. The last level is
-    never visited: an odd set's even children within N are counted at once
-    by bisection, as in Deleglise-Rivat prime counting. The empty set counts
+    fac is the ascending array of _ram_factors; the integer cutoffs ascend and
+    share one traversal. The last level is never visited: an odd set's even
+    children within N are counted at once, for every node and cutoff in one
+    searchsorted, as in Deleglise-Rivat prime counting. The empty set counts
     for every N >= 1.
+
+    The walk is handed only the head fac[:K + 1], K = #{f <= isqrt(N)} at the
+    top cutoff N. Every factor is at least 1, so a k that passes its check in
+    _odd_nodes has fac[k] * fac[k + 1] <= N, and a j has fac[j + 1] * fac[j + 2]
+    <= N. The smaller of two such factors is at most isqrt(N): k < K and
+    j + 1 < K. The k and j loops over the head end just where the walk over
+    all of fac would stop, and the last factor either reads is fac[K].
     """
+    top = cutoffs[-1]
+    head = int(np.searchsorted(fac, math.isqrt(top), "right")) + 1
+    nodes = [(start, prod) for start, prod, _ in _odd_nodes(fac[:head].tolist(), top)]
     counts = [int(c >= 1) for c in cutoffs]
-    for start, prod, _ in _odd_nodes(fac, cutoffs[-1]):
+    if nodes:
+        starts, prods = np.array(nodes, dtype=fac.dtype).T
         for i, c in enumerate(cutoffs):
-            counts[i] += bisect_right(fac, c // prod, start) - start
+            ends = np.searchsorted(fac, c // prods, "right")
+            counts[i] += int((np.maximum(ends, starts) - starts).sum())
     return counts
 
 
@@ -374,10 +395,11 @@ def _even_ram_sets(fac: list[int], top: int) -> list[tuple[int, tuple[int, ...]]
     return found
 
 
-def _classes(fac: list[int], top: int, count: int) -> list[AlgebraClass]:
+def _classes(fac: np.ndarray, top: int, count: int) -> list[AlgebraClass]:
     """The count classes of the even sets R with prod(p - 1) <= top, by ascending coarea.
 
-    Past CLASS_BUDGET classes it raises SearchExhaustedError before building any.
+    Past CLASS_BUDGET classes it raises SearchExhaustedError before it lists fac or
+    builds any class.
     fac ascends and each p was proven prime by the sieve or factorize: R needs no checks.
     The walk, the sort and the build make a few collector-tracked objects per class
     and no reference cycle, so the cyclic collector is paused for them: its passes
@@ -388,6 +410,7 @@ def _classes(fac: list[int], top: int, count: int) -> list[AlgebraClass]:
         raise SearchExhaustedError(
             f"{count} classes is past the budget of {CLASS_BUDGET}", bound=CLASS_BUDGET
         )
+    fac = fac.tolist()
     enabled = gc.isenabled()
     gc.disable()
     try:

@@ -147,17 +147,34 @@ def _census_doc(census) -> dict:
     }
 
 
+def _convert(flag: str, kind: type, text: str):
+    """text as `kind`; DomainError naming --flag if it is not one."""
+    try:
+        return kind(text)
+    except ValueError:
+        raise DomainError(f"--{flag}: {text!r} is not a valid {kind.__name__}") from None
+
+
+def _typed(flag: str, kind: type):
+    """argparse type of --flag. A bad value is kept as its DomainError, which main
+    raises so that it prints as a document: argparse would print usage instead."""
+
+    def convert(text: str):
+        try:
+            return _convert(flag, kind, text)
+        except DomainError as exc:
+            return exc
+
+    return convert
+
+
 def _parse_list(args, flag: str, kind: type = int) -> list:
     """The comma separated values of --flag (empty tokens skipped) as `kind`."""
-    values = []
-    for tok in (getattr(args, flag, None) or "").split(","):
-        if tok.strip() == "":
-            continue
-        try:
-            values.append(kind(tok))
-        except ValueError:
-            raise DomainError(f"--{flag}: {tok!r} is not a valid {kind.__name__}") from None
-    return values
+    return [
+        _convert(flag, kind, tok)
+        for tok in (getattr(args, flag, None) or "").split(",")
+        if tok.strip() != ""
+    ]
 
 
 def _spectrum_inputs(args) -> dict[str, Any]:
@@ -251,12 +268,18 @@ def cmd_family(args) -> Report:
 
 def cmd_volume(args) -> Report:
     if args.ramified is not None:
+        others = {"--degree": args.degree, "--disc": args.disc,
+                  "--zeta-minus1": args.zeta_minus1, "--norms": args.norms}
+        given = [flag for flag, value in others.items() if value is not None]
+        if given:
+            raise DomainError(f"--ramified gives the coarea over Q: no {', '.join(given)}")
         primes = _parse_list(args, "ramified")
         coarea = coarea_rational(RamSet(tuple(primes)))
         result = {"ram": primes, "coarea_exact": str(coarea), "coarea": coarea.value}
         return Report("volume", {"ramified": primes}, result)
+    degree = 2 if args.degree is None else args.degree
     if args.disc is not None:
-        if args.zeta_minus1 is not None or args.degree != 2:
+        if args.zeta_minus1 is not None or degree != 2:
             raise DomainError(
                 "--disc means degree 2 and gives zeta_k(-1): no --zeta-minus1, no other --degree"
             )
@@ -270,8 +293,8 @@ def cmd_volume(args) -> Report:
     else:
         raise DomainError("provide --ramified, --disc, or --degree with --zeta-minus1")
     norms = _parse_list(args, "norms")
-    inputs = {"degree": args.degree, "disc": args.disc, "zeta_minus1": str(zeta), "norms": norms}
-    coarea = coarea_general(args.degree, zeta, norms)
+    inputs = {"degree": degree, "disc": args.disc, "zeta_minus1": str(zeta), "norms": norms}
+    coarea = coarea_general(degree, zeta, norms)
     result = {"coarea_exact": str(coarea), "coarea": coarea.value, "zeta_minus1": str(zeta)}
     return Report("volume", inputs, result)
 
@@ -322,7 +345,7 @@ def _add_spectrum_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lengths", help="comma separated geodesic lengths")
     sub.add_argument("--traces", help="comma separated integer traces")
     sub.add_argument("--radicands", help="comma separated field radicands")
-    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=_typed("tol", float), default=DEFAULT_TOL)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -344,27 +367,34 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("pi", help="classes with coarea below a volume bound")
     _add_spectrum_flags(p)
-    p.add_argument("--volume", type=float, required=True)
+    p.add_argument("--volume", type=_typed("volume", float), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_pi)
 
     p = subs.add_parser("interval", help="census growth over (V, V+W]")
     _add_spectrum_flags(p)
-    p.add_argument("--V", type=float, required=True)
-    p.add_argument("--W", type=float, required=True)
+    p.add_argument("--V", type=_typed("V", float), required=True)
+    p.add_argument("--W", type=_typed("W", float), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_interval)
 
     p = subs.add_parser("family", help="four fields forcing a census count of 2**n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--search-bound", type=int, default=FAMILY_SEARCH_BOUND, dest="search_bound")
+    p.add_argument("--n", type=_typed("n", int), required=True)
+    p.add_argument(
+        "--search-bound", type=_typed("search-bound", int), default=FAMILY_SEARCH_BOUND,
+        dest="search_bound",
+    )
     _add_common(p)
     p.set_defaults(func=cmd_family)
 
     p = subs.add_parser("volume", help="coarea of a maximal order unit group")
     p.add_argument("--ramified", help="comma separated finite ramified primes")
-    p.add_argument("--degree", type=int, default=2, help="degree of the totally real base field")
-    p.add_argument("--disc", type=int, help="real quadratic base field discriminant (degree 2)")
+    p.add_argument(
+        "--degree", type=_typed("degree", int), help="degree of the totally real base field (default 2)"
+    )
+    p.add_argument(
+        "--disc", type=_typed("disc", int), help="real quadratic base field discriminant (degree 2)"
+    )
     p.add_argument("--zeta-minus1", dest="zeta_minus1", help="zeta_k(-1) of the base field as p/q")
     p.add_argument("--norms", help="comma separated ramified prime norms (general form)")
     _add_common(p)
@@ -372,14 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("chebotarev", help="inert-prime density check on [X, X+Y]")
     p.add_argument("--radicands", required=True)
-    p.add_argument("--X", type=int, required=True)
-    p.add_argument("--Y", type=int, required=True)
+    p.add_argument("--X", type=_typed("X", int), required=True)
+    p.add_argument("--Y", type=_typed("Y", int), required=True)
     _add_common(p)
     p.set_defaults(func=cmd_chebotarev)
 
     p = subs.add_parser("selectivity", help="selectivity conditions for (algebra, order)")
     p.add_argument("--ramified", required=True)
-    p.add_argument("--order-disc", type=int, required=True, dest="order_disc")
+    p.add_argument("--order-disc", type=_typed("order-disc", int), required=True, dest="order_disc")
     _add_common(p)
     p.set_defaults(func=cmd_selectivity)
 
@@ -413,6 +443,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for value in vars(args).values():
+            if isinstance(value, DomainError):
+                raise value
         report = args.func(args)
     except SearchExhaustedError as exc:
         log.error("search exhausted: %s", exc)

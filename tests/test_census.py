@@ -320,12 +320,24 @@ def test_short_interval_finite_triple_matches_pi():
         assert rep.count_at_v_plus_w == pi_of_V(spec, volume + window)[0]
 
 
-def test_even_ram_set_counter_against_brute_force():
+def test_even_ram_set_counter_against_brute_force(monkeypatch):
     """Bulk-counted traversal and enumeration vs plain subset enumeration.
 
-    Cutoffs sit on an achievable even-subset product and one either side of
-    it, plus 0 and 1; half the pools contain p = 2, whose factor is 1.
+    The counter takes the factors as an int64 array (an infinite system's
+    pool) and as an object array (a finite one's), with all cutoffs at once
+    and with each alone as the top one. Cutoffs sit on an achievable
+    even-subset product and one either side of it, on the square of a factor
+    (isqrt(N) is then that factor) and one either side, plus 0 and 1; half
+    the pools contain p = 2, whose factor is 1. The walk is handed at most
+    K + 1 factors, K = #{f <= isqrt(N)} at the top cutoff N.
     """
+    walk, heads = census._odd_nodes, []
+
+    def watched(fac, top):
+        heads.append(len(fac))
+        return walk(fac, top)
+
+    monkeypatch.setattr(census, "_odd_nodes", watched)
     rng = random.Random(508)
     primes = oracles.trial_primes(2, 200)
     for _ in range(40):
@@ -335,9 +347,18 @@ def test_even_ram_set_counter_against_brute_force():
         pool = sorted(pool)
         fac = [p - 1 for p in pool]
         hit = math.prod(rng.sample(fac, 2 * rng.randint(0, len(fac) // 2)))
-        cutoffs = sorted({0, 1, hit - 1, hit, hit + 1, rng.randrange(10**6)})
+        square = rng.choice(fac) ** 2 if fac else 4
+        cutoffs = sorted(
+            {0, 1, hit - 1, hit, hit + 1, square - 1, square, square + 1, rng.randrange(10**6)}
+        )
         want = [oracles.even_subset_count(fac, c + 1) for c in cutoffs]
-        assert census._count_even_ram_sets(fac, cutoffs) == want, (pool, cutoffs)
+        for dtype in (np.int64, object):
+            arr = np.array(fac, dtype=dtype)
+            for cuts, counts in [(cutoffs, want), *(([c], [n]) for c, n in zip(cutoffs, want))]:
+                heads.clear()
+                assert census._count_even_ram_sets(arr, cuts) == counts, (pool, cuts, dtype)
+                k = sum(f <= math.isqrt(cuts[-1]) for f in fac)
+                assert heads and heads[0] <= k + 1, (pool, cuts)
         for c, n in zip(cutoffs, want):
             brute = sorted(
                 (math.prod(p - 1 for p in sub), sub)
@@ -658,6 +679,34 @@ def test_class_budget_is_checked_before_building(monkeypatch):
         assert info.value.bound == budget
 
 
+def test_class_budget_is_checked_before_listing_the_pool(monkeypatch):
+    """Past CLASS_BUDGET, pi_of_V raises having listed only the walk's head of
+    the pool, never the whole pool: counting reads it as an array."""
+    spec = spectrum_from_inputs(traces=[4])
+    count = pi_of_V(spec, 1e4)[0]
+    ram_factors, sizes, listed = census._ram_factors, [], []
+
+    class Watched(np.ndarray):
+        def tolist(self):
+            listed.append(len(self))
+            return super().tolist()
+
+    def watched(system, top):
+        fac = ram_factors(system, top).view(Watched)
+        sizes.append(len(fac))
+        return fac
+
+    monkeypatch.setattr(census, "_ram_factors", watched)
+    monkeypatch.setattr(census, "CLASS_BUDGET", count - 1)
+    with pytest.raises(SearchExhaustedError):
+        pi_of_V(spec, 1e4)
+    assert sizes[0] > 100 and listed and max(listed) < sizes[0], (sizes, listed)
+    monkeypatch.setattr(census, "CLASS_BUDGET", count)
+    listed.clear()
+    assert pi_of_V(spec, 1e4)[0] == count
+    assert sizes[-1] in listed  # within the budget the listing lists it
+
+
 def test_short_interval_scale_pin():
     """Trace 4 at V = 1e7, W = 1e6; counts confirmed by full enumeration."""
     spec = spectrum_from_inputs(traces=[4])
@@ -665,6 +714,17 @@ def test_short_interval_scale_pin():
     rep = short_interval_delta(spec, 1e7, 1e6)
     elapsed = time.perf_counter() - t0
     assert (rep.count_at_v, rep.count_at_v_plus_w) == (1_403_587, 1_539_252)
+    assert elapsed < 2.0, elapsed
+
+
+def test_short_interval_scale_pin_at_3e8():
+    """Trace 4 at V = 3e8, W = 3e7: a pool of 8.5 M primes, counted without
+    listing it; the walk reads only the factors up to sqrt(N)."""
+    spec = spectrum_from_inputs(traces=[4])
+    t0 = time.perf_counter()
+    rep = short_interval_delta(spec, 3e8, 3e7)
+    elapsed = time.perf_counter() - t0
+    assert (rep.count_at_v, rep.count_at_v_plus_w) == (38_167_240, 41_880_360)
     assert elapsed < 2.0, elapsed
 
 

@@ -263,6 +263,45 @@ def test_malformed_list_is_domain_error(capsys):
         assert flag in doc["error"]["message"] and token in doc["error"]["message"]
 
 
+def test_bad_typed_flag_is_domain_error(capsys):
+    """A value that is not of a flag's type prints a strict-JSON DomainError
+    document naming the flag and exits 2, as a bad list entry does."""
+    for argv, flag, token in (
+        (("volume", "--degree", "x"), "--degree", "'x'"),
+        (("volume", "--disc", "5.5"), "--disc", "'5.5'"),
+        (("pi", "--traces", "4", "--volume", "abc"), "--volume", "'abc'"),
+        (("pi", "--traces", "4", "--volume", "10", "--tol", "t"), "--tol", "'t'"),
+        (("interval", "--traces", "4", "--V", "v", "--W", "1"), "--V", "'v'"),
+        (("interval", "--traces", "4", "--V", "10", "--W", "w"), "--W", "'w'"),
+        (("family", "--n", "x"), "--n", "'x'"),
+        (("family", "--n", "1", "--search-bound", "1e6"), "--search-bound", "'1e6'"),
+        (("chebotarev", "--radicands", "3", "--X", "x", "--Y", "10"), "--X", "'x'"),
+        (("chebotarev", "--radicands", "3", "--X", "1000", "--Y", "y"), "--Y", "'y'"),
+        (("selectivity", "--ramified", "2,3", "--order-disc", "d"), "--order-disc", "'d'"),
+    ):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert (code, doc["command"], doc["error"]["type"]) == (2, argv[0], "DomainError"), argv
+        assert flag in doc["error"]["message"] and token in doc["error"]["message"], argv
+
+
+def test_volume_ramified_refuses_other_flags(capsys):
+    """--ramified is the coarea over Q; a --degree, --disc, --zeta-minus1 or
+    --norms given beside it is refused, even a --degree of 2."""
+    for extra in (
+        ("--zeta-minus1", "5"),
+        ("--degree", "5"),
+        ("--degree", "2"),
+        ("--disc", "5"),
+        ("--norms", "8"),
+        ("--degree", "3", "--norms", "8"),
+    ):
+        code, doc = run_json(capsys, "volume", "--ramified", "3,17", *extra)
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), extra
+        flags = [tok for tok in extra if tok.startswith("--")]
+        assert doc["error"]["message"] == f"--ramified gives the coarea over Q: no {', '.join(flags)}"
+
+
 def test_volume_rejects_norms_below_two(capsys):
     for norm in ("0", "1", "-5"):
         code, doc = run_json(capsys, "volume", "--disc", "5", "--norms", norm)
