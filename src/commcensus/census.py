@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import gc
 import math
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, zip_longest
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -44,9 +44,10 @@ __all__ = [
     "verify_chebotarev_interval",
 ]
 
-# Most classes a listing builds. A listing peaks near 250 bytes of RSS per class
-# (pi_of_V, trace 4 at V = 1e7: 1,403,587 classes, 362 MB; count_algebras on 20
-# nonsplit primes: 2**19 classes, 163 MB), so about 0.5 GB at the budget.
+# Most classes a listing builds. A listing peaks near 210 to 310 bytes of RSS per
+# class, the longer sets costing more (pi_of_V, trace 4 at V = 1e7: 1,403,587 classes,
+# 299 MB; count_algebras on 20 nonsplit primes: 2**19 classes, 160 MB), so about
+# 0.5 GB at the budget.
 CLASS_BUDGET = 1 << 21
 
 # Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half
@@ -384,15 +385,53 @@ def _count_even_ram_sets(fac: np.ndarray, cutoffs: list[int]) -> list[int]:
     return counts
 
 
-def _even_ram_sets(fac: list[int], top: int) -> list[tuple[int, tuple[int, ...]]]:
-    """Every even set R of the primes with prod(p - 1) <= top, as (prod, R)."""
-    primes = [f + 1 for f in fac]
-    found = [(1, ())] if top >= 1 else []
-    for start, prod, chosen in _odd_nodes(fac, top):
-        head = tuple(primes[i] for i in chosen)
-        for j in range(start, bisect_right(fac, top // prod, start)):
-            found.append((prod * fac[j], head + (primes[j],)))
-    return found
+def _sorted_even_sets(fac: np.ndarray, top: int) -> list[tuple[int, ...]]:
+    """Every even set R of the primes f + 1 with prod(f) <= top, ascending by (prod, R).
+
+    fac is the ascending array of _ram_factors, int64 or object alike. The walk
+    reads only its head, as in _count_even_ram_sets; each odd node's children
+    [start, end) come from one searchsorted, and one lexsort orders all the
+    children: by prod, then by the indices of R, padded with -1 so that a prefix
+    sorts first. Equal coareas are common (trace 4 at V = 3e5: 22,966 of 47,793
+    classes share one), so prod alone, even stably sorted, is not the order. The
+    key arrays are freed before the tuples are built: each node's head tuple is
+    joined to its children's primes by C-level maps, and the tuples are permuted
+    in one step.
+    """
+    if top < 1:
+        return []
+    head = int(np.searchsorted(fac, math.isqrt(top), "right")) + 1
+    nodes = list(_odd_nodes(fac[:head].tolist(), top))
+    if not nodes:
+        return [()]
+    starts, prods, chosen = zip(*nodes)
+    del nodes
+    starts = np.array(starts)
+    prods = np.array(prods, dtype=fac.dtype)
+    ends = np.maximum(np.searchsorted(fac, top // prods, "right"), starts)
+    counts = ends - starts
+    # the node and the last index of every child, nodes in walk order
+    node = np.repeat(np.arange(len(chosen)), counts)
+    child = np.arange(len(node)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+    # row t holds index t of each R: its node's head, then the child, then -1
+    heads = np.array(list(zip_longest(*chosen, fillvalue=-1)), np.min_scalar_type(-len(fac)))
+    keys = np.full((len(heads) + 1, len(node)), -1, heads.dtype)
+    keys[:-1] = heads[:, node]
+    keys[np.fromiter(map(len, chosen), np.intp, len(chosen))[node], np.arange(len(node))] = child
+    order = np.lexsort((*keys[::-1], prods[node] * fac[child]))
+    del prods, heads, keys, node, child
+    primes = (fac + 1).tolist()
+    prime = primes.__getitem__
+    found = np.fromiter(
+        chain.from_iterable(
+            map(tuple(map(prime, c)).__add__, zip(primes[s:e]))
+            for c, s, e in zip(chosen, starts.tolist(), ends.tolist())
+        ),
+        dtype=object,
+        count=len(order),
+    )
+    del chosen
+    return [(), *found[order].tolist()]
 
 
 def _classes(fac: np.ndarray, top: int, count: int) -> list[AlgebraClass]:
@@ -410,11 +449,10 @@ def _classes(fac: np.ndarray, top: int, count: int) -> list[AlgebraClass]:
         raise SearchExhaustedError(
             f"{count} classes is past the budget of {CLASS_BUDGET}", bound=CLASS_BUDGET
         )
-    fac = fac.tolist()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        classes = _trusted_classes([ram for _, ram in sorted(_even_ram_sets(fac, top))])
+        classes = _trusted_classes(_sorted_even_sets(fac, top))
     finally:
         if enabled:
             gc.enable()

@@ -1,10 +1,10 @@
 """Command line interface.
 
-Every invocation prints exactly one structured document to stdout (JSON by
-default, sorted keys, floats at 12 significant digits; --format csv
-flattens the row table). Logs go to stderr, controlled by the COMMCENSUS_LOG
-environment variable. Exit codes: 0 success, 2 domain error, 3 search
-exhaustion, 1 internal failure.
+Every invocation but --help prints exactly one structured document to stdout
+(JSON by default, sorted keys, floats at 12 significant digits; --format csv
+flattens the row table), a usage error included. Logs go to stderr, controlled
+by the COMMCENSUS_LOG environment variable. Exit codes: 0 success, 2 domain
+error or usage error, 3 search exhaustion, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 from typing import Any
 
 from .census import (
@@ -153,19 +154,6 @@ def _convert(flag: str, kind: type, text: str):
         return kind(text)
     except ValueError:
         raise DomainError(f"--{flag}: {text!r} is not a valid {kind.__name__}") from None
-
-
-def _typed(flag: str, kind: type):
-    """argparse type of --flag. A bad value is kept as its DomainError, which main
-    raises so that it prints as a document: argparse would print usage instead."""
-
-    def convert(text: str):
-        try:
-            return _convert(flag, kind, text)
-        except DomainError as exc:
-            return exc
-
-    return convert
 
 
 def _parse_list(args, flag: str, kind: type = int) -> list:
@@ -345,11 +333,23 @@ def _add_spectrum_flags(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--lengths", help="comma separated geodesic lengths")
     sub.add_argument("--traces", help="comma separated integer traces")
     sub.add_argument("--radicands", help="comma separated field radicands")
-    sub.add_argument("--tol", type=_typed("tol", float), default=DEFAULT_TOL)
+    sub.add_argument("--tol", type=float, default=DEFAULT_TOL)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argparse parser whose usage errors, a flag value not of its type among
+    them, raise DomainError, which main prints as a document: argparse would
+    print usage on stderr and exit instead."""
+
+    def error(self, message: str):
+        raise DomainError(message)
+
+
+@cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser of every command, built once and shared: parsing leaves it as it
+    was, and no caller may change it."""
+    parser = _Parser(
         prog="commcensus",
         description="Census of commensurability classes with prescribed geodesic lengths",
     )
@@ -367,21 +367,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("pi", help="classes with coarea below a volume bound")
     _add_spectrum_flags(p)
-    p.add_argument("--volume", type=_typed("volume", float), required=True)
+    p.add_argument("--volume", type=float, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_pi)
 
     p = subs.add_parser("interval", help="census growth over (V, V+W]")
     _add_spectrum_flags(p)
-    p.add_argument("--V", type=_typed("V", float), required=True)
-    p.add_argument("--W", type=_typed("W", float), required=True)
+    p.add_argument("--V", type=float, required=True)
+    p.add_argument("--W", type=float, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_interval)
 
     p = subs.add_parser("family", help="four fields forcing a census count of 2**n")
-    p.add_argument("--n", type=_typed("n", int), required=True)
+    p.add_argument("--n", type=int, required=True)
     p.add_argument(
-        "--search-bound", type=_typed("search-bound", int), default=FAMILY_SEARCH_BOUND,
+        "--search-bound", type=int, default=FAMILY_SEARCH_BOUND,
         dest="search_bound",
     )
     _add_common(p)
@@ -390,10 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("volume", help="coarea of a maximal order unit group")
     p.add_argument("--ramified", help="comma separated finite ramified primes")
     p.add_argument(
-        "--degree", type=_typed("degree", int), help="degree of the totally real base field (default 2)"
+        "--degree", type=int, help="degree of the totally real base field (default 2)"
     )
     p.add_argument(
-        "--disc", type=_typed("disc", int), help="real quadratic base field discriminant (degree 2)"
+        "--disc", type=int, help="real quadratic base field discriminant (degree 2)"
     )
     p.add_argument("--zeta-minus1", dest="zeta_minus1", help="zeta_k(-1) of the base field as p/q")
     p.add_argument("--norms", help="comma separated ramified prime norms (general form)")
@@ -402,21 +402,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("chebotarev", help="inert-prime density check on [X, X+Y]")
     p.add_argument("--radicands", required=True)
-    p.add_argument("--X", type=_typed("X", int), required=True)
-    p.add_argument("--Y", type=_typed("Y", int), required=True)
+    p.add_argument("--X", type=int, required=True)
+    p.add_argument("--Y", type=int, required=True)
     _add_common(p)
     p.set_defaults(func=cmd_chebotarev)
 
     p = subs.add_parser("selectivity", help="selectivity conditions for (algebra, order)")
     p.add_argument("--ramified", required=True)
-    p.add_argument("--order-disc", type=_typed("order-disc", int), required=True, dest="order_disc")
+    p.add_argument("--order-disc", type=int, required=True, dest="order_disc")
     _add_common(p)
     p.set_defaults(func=cmd_selectivity)
 
     return parser
 
 
-def _error_doc(command: str, exc: Exception) -> dict:
+def _error_doc(command: str | None, exc: Exception) -> dict:
     doc: dict[str, Any] = {
         "command": command,
         "error": {"type": type(exc).__name__, "message": str(exc)},
@@ -440,12 +440,10 @@ def main(argv=None) -> int:
         level=getattr(logging, level, logging.WARNING),
         format="%(levelname)s %(name)s: %(message)s",
     )
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the subcommand is recorded in args before its flags are parsed
+    args = argparse.Namespace()
     try:
-        for value in vars(args).values():
-            if isinstance(value, DomainError):
-                raise value
+        build_parser().parse_args(argv, args)
         report = args.func(args)
     except SearchExhaustedError as exc:
         log.error("search exhausted: %s", exc)
@@ -459,7 +457,8 @@ def main(argv=None) -> int:
     else:
         _emit(report, args.format)
         return 0
-    sys.stdout.write(json.dumps(_error_doc(args.command, error), sort_keys=True, indent=2) + "\n")
+    command = getattr(args, "command", None)
+    sys.stdout.write(json.dumps(_error_doc(command, error), sort_keys=True, indent=2) + "\n")
     return code
 
 

@@ -10,8 +10,10 @@ degree of the totally real base field k, since zeta_k(-1) is rational.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 
 from .arith import _check_disc, _check_integer, _integer, factorize, is_prime, kronecker
 from .errors import DomainError, SearchExhaustedError
@@ -105,11 +107,12 @@ class AlgebraClass:
 
 
 def _trusted_builder(ram_set: type[RamSet], algebra: type[AlgebraClass]):
-    """Batch builder of classes from ramification tuples that need no checks.
+    """Batch builder of classes from a list of ramification tuples that need no checks.
 
     Each tuple must already be ascending, distinct, proven prime and even in
     number, with no infinite place, as the census's even sets are. No
-    dataclass __init__ runs: the slots are filled through their descriptors.
+    dataclass __init__ runs: the slots are filled through their descriptors,
+    by C-level maps drained into a zero-length deque.
     The classes are closed over, not looked up by module name, so a wrapper
     rebound to the name RamSet (as the benchmark tracer does) cannot reach in.
     """
@@ -118,17 +121,13 @@ def _trusted_builder(ram_set: type[RamSet], algebra: type[AlgebraClass]):
     set_infinity = ram_set.at_infinity.__set__
     set_ram = algebra.ram.__set__
 
-    def build(rams) -> list[AlgebraClass]:
-        out = []
-        append = out.append
-        for primes in rams:
-            b = new(ram_set)
-            set_primes(b, primes)
-            set_infinity(b, False)
-            c = new(algebra)
-            set_ram(c, b)
-            append(c)
-        return out
+    def build(rams: list[tuple[int, ...]]) -> list[AlgebraClass]:
+        ram_sets = list(map(new, repeat(ram_set, len(rams))))
+        deque(map(set_primes, ram_sets, rams), 0)
+        deque(map(set_infinity, ram_sets, repeat(False)), 0)
+        classes = list(map(new, repeat(algebra, len(rams))))
+        deque(map(set_ram, classes, ram_sets), 0)
+        return classes
 
     return build
 

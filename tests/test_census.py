@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import bisect
+import collections
 import dataclasses
 import gc
 import itertools
@@ -321,15 +322,16 @@ def test_short_interval_finite_triple_matches_pi():
 
 
 def test_even_ram_set_counter_against_brute_force(monkeypatch):
-    """Bulk-counted traversal and enumeration vs plain subset enumeration.
+    """Bulk-counted traversal and sorted listing vs plain subset enumeration.
 
-    The counter takes the factors as an int64 array (an infinite system's
-    pool) and as an object array (a finite one's), with all cutoffs at once
-    and with each alone as the top one. Cutoffs sit on an achievable
-    even-subset product and one either side of it, on the square of a factor
-    (isqrt(N) is then that factor) and one either side, plus 0 and 1; half
-    the pools contain p = 2, whose factor is 1. The walk is handed at most
-    K + 1 factors, K = #{f <= isqrt(N)} at the top cutoff N.
+    The counter and the listing take the factors as an int64 array (an
+    infinite system's pool) and as an object array (a finite one's); the
+    listing must come in the order of sorted (prod, R) pairs. The counter
+    takes all cutoffs at once and with each alone as the top one. Cutoffs sit
+    on an achievable even-subset product and one either side of it, on the
+    square of a factor (isqrt(N) is then that factor) and one either side,
+    plus 0 and 1; half the pools contain p = 2, whose factor is 1. The walk
+    is handed at most K + 1 factors, K = #{f <= isqrt(N)} at the top cutoff N.
     """
     walk, heads = census._odd_nodes, []
 
@@ -360,14 +362,23 @@ def test_even_ram_set_counter_against_brute_force(monkeypatch):
                 k = sum(f <= math.isqrt(cuts[-1]) for f in fac)
                 assert heads and heads[0] <= k + 1, (pool, cuts)
         for c, n in zip(cutoffs, want):
-            brute = sorted(
-                (math.prod(p - 1 for p in sub), sub)
-                for k in range(0, len(pool) + 1, 2)
-                for sub in itertools.combinations(pool, k)
-                if math.prod(p - 1 for p in sub) <= c
-            )
+            brute = _brute_even_sets(pool, c)
             assert len(brute) == n
-            assert sorted(census._even_ram_sets(fac, c)) == brute, (pool, c)
+            for dtype in (np.int64, object):
+                listed = census._sorted_even_sets(np.array(fac, dtype=dtype), c)
+                assert listed == brute, (pool, c, dtype)
+                assert all(type(p) is int for R in listed for p in R), (pool, c, dtype)
+
+
+def _brute_even_sets(pool: list[int], top: int) -> list[tuple[int, ...]]:
+    """The even subsets R of the ascending pool with prod(p - 1) <= top, by (prod, R)."""
+    keyed = sorted(
+        (math.prod(p - 1 for p in sub), sub)
+        for k in range(0, len(pool) + 1, 2)
+        for sub in itertools.combinations(pool, k)
+        if math.prod(p - 1 for p in sub) <= top
+    )
+    return [R for _, R in keyed]
 
 
 def test_nonsplit_pool_past_table_bound():
@@ -452,6 +463,13 @@ def test_finite_census_past_int64():
     assert census._nonsplit_pool(census._system(fields), 10**30).tolist() == [5, p]
     with pytest.raises(SearchExhaustedError):
         census._nonsplit_pool(census._system(fields[1:2]), 10**30)
+    # the listing takes one path below 2**64 and past it: the system's own
+    # factors, and those with 3, 11, 13 and 17 added
+    fac = census._ram_factors(census._system(fields), p)
+    assert fac.dtype == object and census._sorted_even_sets(fac, 4 * (p - 1)) == [(), (5, p)]
+    fac = np.sort(np.concatenate([fac, np.array([2, 10, 12, 16], dtype=object)]))
+    for top in (0, 1, 48, 4 * (p - 1), 480 * (p - 1), 2 * 4 * 10 * 12 * 16 * (p - 1)):
+        assert census._sorted_even_sets(fac, top) == _brute_even_sets((fac + 1).tolist(), top), top
 
 
 def _tables_built(monkeypatch) -> list[int]:
@@ -637,7 +655,7 @@ def test_census_restores_the_collector_state(monkeypatch, enabled):
         def walk_fails(fac, top):
             raise RuntimeError("walk failed")
 
-        monkeypatch.setattr(census, "_even_ram_sets", walk_fails)
+        monkeypatch.setattr(census, "_sorted_even_sets", walk_fails)
         for call in calls:
             with pytest.raises(RuntimeError, match="walk failed"):
                 call()
@@ -725,6 +743,29 @@ def test_short_interval_scale_pin_at_3e8():
     rep = short_interval_delta(spec, 3e8, 3e7)
     elapsed = time.perf_counter() - t0
     assert (rep.count_at_v, rep.count_at_v_plus_w) == (38_167_240, 41_880_360)
+    assert elapsed < 2.0, elapsed
+
+
+def test_listing_orders_equal_coareas_by_ram_set():
+    """Trace 4 at V = 3e5: 22,966 of the 47,793 classes share their coarea with
+    another, so the listing is sorted by (coarea, primes), not by coarea alone."""
+    classes = pi_of_V(spectrum_from_inputs(traces=[4]), 3e5)[1]
+    keys = [(c.coarea.coef, c.ram.finite_primes) for c in classes]
+    assert keys == sorted(keys)
+    assert len({ram for _, ram in keys}) == len(classes) == 47_793
+    coefs = collections.Counter(coef for coef, _ in keys)
+    assert sum(n for n in coefs.values() if n > 1) == 22_966
+
+
+def test_listing_scale_pin():
+    """Trace 4 at V = 3e6: 438,235 classes listed by ascending (prod(p - 1), primes)."""
+    spec = spectrum_from_inputs(traces=[4])
+    t0 = time.perf_counter()
+    count, classes = pi_of_V(spec, 3e6)
+    elapsed = time.perf_counter() - t0
+    assert count == len(classes) == 438_235
+    keys = [(math.prod(p - 1 for p in c.ram.finite_primes), c.ram.finite_primes) for c in classes]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
     assert elapsed < 2.0, elapsed
 
 

@@ -8,7 +8,7 @@ import time
 import numpy as np
 import pytest
 
-from commcensus import arith, census, quadratic
+from commcensus import arith, census, cli, quadratic
 from commcensus.arith import character_table, norm_one_fundamental
 from commcensus.census import CLASS_BUDGET, SIEVE_BUDGET, construct_family
 from commcensus.cli import MAX_CLASS_ROWS, main
@@ -494,11 +494,50 @@ def test_class_table_truncation(capsys):
 
 
 def test_argparse_rejects_missing_required(capsys):
+    """A missing required flag or an unknown command prints a strict-JSON DomainError
+    document and exits 2, naming the command when argparse got that far."""
+    code, doc = run_json(capsys, "pi", "--radicands", "3")  # --volume is required
+    assert (code, doc["command"], doc["error"]["type"]) == (2, "pi", "DomainError")
+    assert doc["error"]["message"] == "the following arguments are required: --volume"
+    code, doc = run_json(capsys, "nonsense")
+    assert (code, doc["command"], doc["error"]["type"]) == (2, None, "DomainError")
+    assert "invalid choice: 'nonsense'" in doc["error"]["message"]
+
+
+def test_usage_errors_are_documents(capsys):
+    """A bad choice, an unknown flag or no command at all exits 2 with one
+    strict-JSON document on stdout; --help still prints usage and exits 0."""
+    for argv, command, message in (
+        (("count", "--radicands", "3", "--format", "xml"), "count",
+         "argument --format: invalid choice: 'xml'"),
+        (("pi", "--traces", "4", "--volume", "10", "--extra", "1"), "pi",
+         "unrecognized arguments: --extra 1"),
+        ((), None, "the following arguments are required: command"),
+    ):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert (code, doc["command"], doc["error"]["type"]) == (2, command, "DomainError"), argv
+        assert doc["error"]["message"].startswith(message), argv
     with pytest.raises(SystemExit) as info:
-        main(["pi", "--radicands", "3"])  # --volume is required
-    assert info.value.code == 2
-    with pytest.raises(SystemExit):
-        main(["nonsense"])
+        main(["pi", "--help"])
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: commcensus pi")
+
+
+def test_parser_is_built_once_and_left_as_it_was(capsys):
+    """main reuses one parser; after good and bad invocations it parses as a new one does."""
+    assert cli.build_parser() is cli.build_parser()
+    for argv in (["family", "--n", "x"], ["pi", "--traces", "4"], ["count", "--radicands", "3,17,51"]):
+        main(argv)
+    capsys.readouterr()
+    fresh = cli.build_parser.__wrapped__()
+    for argv in (
+        ["count", "--radicands", "3,17,51"],
+        ["family", "--n", "3"],
+        ["pi", "--traces", "4", "--volume", "10", "--format", "csv"],
+        ["volume", "--ramified", "3,17"],
+    ):
+        assert vars(cli.build_parser().parse_args(argv)) == vars(fresh.parse_args(argv)), argv
 
 
 def test_domain_error_logged_not_printed(capsys, caplog):

@@ -43,7 +43,7 @@ CASES = {
     "pi_infinite_truncated": (["pi", "--traces", "4", "--volume", "1e5"], None),
     "family_n0": (["family", "--n", "0"], None),
     "spectra_radicand_1321": (["spectra", "--radicands", "1321"], None),
-    # one case per error type, exit 2 or 3
+    # one case per error type, exit 2 or 3, and an argparse usage error
     "count_square_radicand": (["count", "--radicands", "3,4"], None),
     "count_nan_tol": (["count", "--radicands", "3,17,51", "--tol", "nan"], None),
     "spectra_trace_2": (["spectra", "--traces", "2"], None),
@@ -52,6 +52,7 @@ CASES = {
     "volume_float_overflow": (["volume", "--degree", "3", "--zeta-minus1=-1e308"], None),
     "selectivity_disc_7": (["selectivity", "--ramified", "2,5", "--order-disc", "7"], None),
     "family_search_exhausted": (["family", "--n", "3", "--search-bound", "50"], None),
+    "pi_unrecognized_flag": (["pi", "--traces", "4", "--volume", "10", "--extra", "1"], None),
     # t**2 - 4 = 1000033 * 1000037 needs rho, which one iteration cannot finish
     "spectra_factor_budget": (["spectra", "--traces", "1000035"], 1),
 }
