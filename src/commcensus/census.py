@@ -208,8 +208,12 @@ def count_algebras(fields) -> CensusReport:
     """
     system = _system(fields)
     s0 = _finite(system)
+    count = 2 ** (len(s0) - 1) if s0 else 1
+    _check_class_budget(count)
     fac = np.array(s0, dtype=object) - 1
-    classes = _classes(fac, math.prod(fac), 2 ** (len(s0) - 1) if s0 else 1)
+    classes = _classes(fac, _walk(fac, math.prod(fac)))
+    if len(classes) != count:
+        raise RuntimeError("even-subset count mismatch")
     return CensusReport(
         fields=system.fields,
         verdict=_verdict(system),
@@ -357,59 +361,58 @@ def _odd_nodes(fac: list[int], top: int):
                 stack.append((j + 1, nxt, chosen + (j,)))
 
 
-def _count_even_ram_sets(fac: np.ndarray, cutoffs: list[int]) -> list[int]:
-    """Number of even subsets R of the factors with prod(R) <= N, per cutoff N.
+class _Walk(NamedTuple):
+    """One walk's odd nodes S, in walk order: chosen[i] holds the indices of S,
+    prods[i] = prod(S), and starts[i] is the first j of an even child S + {j}."""
 
-    fac is the ascending array of _ram_factors; the integer cutoffs ascend and
-    share one traversal. The last level is never visited: an odd set's even
-    children within N are counted at once, for every node and cutoff in one
-    searchsorted, as in Deleglise-Rivat prime counting. The empty set counts
-    for every N >= 1.
+    top: int
+    starts: np.ndarray
+    prods: np.ndarray  # fac's dtype
+    chosen: tuple[tuple[int, ...], ...]
 
-    The walk is handed only the head fac[:K + 1], K = #{f <= isqrt(N)} at the
-    top cutoff N. Every factor is at least 1, so a k that passes its check in
-    _odd_nodes has fac[k] * fac[k + 1] <= N, and a j has fac[j + 1] * fac[j + 2]
-    <= N. The smaller of two such factors is at most isqrt(N): k < K and
-    j + 1 < K. The k and j loops over the head end just where the walk over
-    all of fac would stop, and the last factor either reads is fac[K].
+
+def _walk(fac: np.ndarray, top: int) -> _Walk:
+    """The odd nodes of the even sets R of the factors with prod(R) <= top, walked once.
+
+    fac is the ascending array of _ram_factors, int64 or object alike. The walk is
+    handed only the head fac[:K + 1], K = #{f <= isqrt(top)}. Every factor is at
+    least 1, so a k that passes its check in _odd_nodes has fac[k] * fac[k + 1] <= top,
+    and a j has fac[j + 1] * fac[j + 2] <= top. The smaller of two such factors is at
+    most isqrt(top): k < K and j + 1 < K. The k and j loops over the head end just
+    where the walk over all of fac would stop, and the last factor either reads is fac[K].
     """
-    top = cutoffs[-1]
-    head = int(np.searchsorted(fac, math.isqrt(top), "right")) + 1
-    nodes = [(start, prod) for start, prod, _ in _odd_nodes(fac[:head].tolist(), top)]
-    counts = [int(c >= 1) for c in cutoffs]
-    if nodes:
-        starts, prods = np.array(nodes, dtype=fac.dtype).T
-        for i, c in enumerate(cutoffs):
-            ends = np.searchsorted(fac, c // prods, "right")
-            counts[i] += int((np.maximum(ends, starts) - starts).sum())
-    return counts
-
-
-def _sorted_even_sets(fac: np.ndarray, top: int) -> list[tuple[int, ...]]:
-    """Every even set R of the primes f + 1 with prod(f) <= top, ascending by (prod, R).
-
-    fac is the ascending array of _ram_factors, int64 or object alike. The walk
-    reads only its head, as in _count_even_ram_sets; each odd node's children
-    [start, end) come from one searchsorted, and one lexsort orders all the
-    children: by prod, then by the indices of R, padded with -1 so that a prefix
-    sorts first. Equal coareas are common (trace 4 at V = 3e5: 22,966 of 47,793
-    classes share one), so prod alone, even stably sorted, is not the order. The
-    key arrays are freed before the tuples are built: each node's head tuple is
-    joined to its children's primes by C-level maps, and the tuples are permuted
-    in one step.
-    """
-    if top < 1:
-        return []
     head = int(np.searchsorted(fac, math.isqrt(top), "right")) + 1
     nodes = list(_odd_nodes(fac[:head].tolist(), top))
-    if not nodes:
-        return [()]
-    starts, prods, chosen = zip(*nodes)
-    del nodes
-    starts = np.array(starts)
-    prods = np.array(prods, dtype=fac.dtype)
-    ends = np.maximum(np.searchsorted(fac, top // prods, "right"), starts)
-    counts = ends - starts
+    starts, prods, chosen = zip(*nodes) if nodes else ((), (), ())
+    return _Walk(top, np.array(starts, np.intp), np.array(prods, fac.dtype), chosen)
+
+
+def _spans(fac: np.ndarray, walk: _Walk, cutoff: int) -> np.ndarray:
+    """Each node's number of even children within cutoff <= walk.top, the j >= start with
+    fac[j] <= cutoff // prod(S). One searchsorted reads this last level for every node,
+    as in Deleglise-Rivat prime counting; the walk never visits it."""
+    return np.maximum(np.searchsorted(fac, cutoff // walk.prods, "right") - walk.starts, 0)
+
+
+def _even_count(fac: np.ndarray, walk: _Walk, cutoff: int) -> int:
+    """Number of even sets R with prod(R) <= cutoff <= walk.top, the empty one included."""
+    return int(cutoff >= 1) + int(_spans(fac, walk, cutoff).sum())
+
+
+def _sorted_even_sets(fac: np.ndarray, walk: _Walk) -> list[tuple[int, ...]]:
+    """Every even set R of the primes f + 1 with prod(f) <= walk.top, ascending by (prod, R).
+
+    Each node's children are its _spans at walk.top, and one lexsort orders them all:
+    by prod, then by the indices of R, padded with -1 so that a prefix sorts first.
+    Equal coareas are common (trace 4 at V = 3e5: 22,966 of 47,793 classes share one),
+    so prod alone, even stably sorted, is not the order. The key arrays are freed
+    before the tuples are built: each node's head tuple is joined to its children's
+    primes by C-level maps, and the tuples are permuted in one step.
+    """
+    starts, prods, chosen = walk.starts, walk.prods, walk.chosen
+    if not chosen:
+        return [()] if walk.top >= 1 else []
+    counts = _spans(fac, walk, walk.top)
     # the node and the last index of every child, nodes in walk order
     node = np.repeat(np.arange(len(chosen)), counts)
     child = np.arange(len(node)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
@@ -419,46 +422,44 @@ def _sorted_even_sets(fac: np.ndarray, top: int) -> list[tuple[int, ...]]:
     keys[:-1] = heads[:, node]
     keys[np.fromiter(map(len, chosen), np.intp, len(chosen))[node], np.arange(len(node))] = child
     order = np.lexsort((*keys[::-1], prods[node] * fac[child]))
-    del prods, heads, keys, node, child
+    del heads, keys, node, child
     primes = (fac + 1).tolist()
     prime = primes.__getitem__
     found = np.fromiter(
         chain.from_iterable(
             map(tuple(map(prime, c)).__add__, zip(primes[s:e]))
-            for c, s, e in zip(chosen, starts.tolist(), ends.tolist())
+            for c, s, e in zip(chosen, starts.tolist(), (starts + counts).tolist())
         ),
         dtype=object,
         count=len(order),
     )
-    del chosen
     return [(), *found[order].tolist()]
 
 
-def _classes(fac: np.ndarray, top: int, count: int) -> list[AlgebraClass]:
-    """The count classes of the even sets R with prod(p - 1) <= top, by ascending coarea.
-
-    Past CLASS_BUDGET classes it raises SearchExhaustedError before it lists fac or
-    builds any class.
-    fac ascends and each p was proven prime by the sieve or factorize: R needs no checks.
-    The walk, the sort and the build make a few collector-tracked objects per class
-    and no reference cycle, so the cyclic collector is paused for them: its passes
-    would rescan the growing heap and free nothing. The pause is process-wide
-    while it lasts; the collector is turned back on only if it was on at entry.
-    """
+def _check_class_budget(count: int) -> None:
     if count > CLASS_BUDGET:
         raise SearchExhaustedError(
             f"{count} classes is past the budget of {CLASS_BUDGET}", bound=CLASS_BUDGET
         )
+
+
+def _classes(fac: np.ndarray, walk: _Walk) -> list[AlgebraClass]:
+    """The classes of the walk's even sets, by ascending coarea.
+
+    fac ascends and each p was proven prime by the sieve or factorize: R needs no checks.
+    The sort and the build make a few collector-tracked objects per class and no cycle,
+    so the cyclic collector is paused for them, process-wide: its passes would rescan
+    the growing heap and free nothing. It is turned back on only if it was on at entry.
+    """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        classes = _trusted_classes(_sorted_even_sets(fac, top))
+        sets = _sorted_even_sets(fac, walk)
+        del walk  # a caller that passes the only reference frees the node tuples here
+        return _trusted_classes(sets)
     finally:
         if enabled:
             gc.enable()
-    if len(classes) != count:
-        raise RuntimeError("even-subset count mismatch")
-    return classes
 
 
 def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]:
@@ -466,18 +467,19 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]
 
     Works for both verdicts: with an infinite nonsplit set the prime pool
     is cut off below 1 + 3V/pi, which no admissible ramified prime can
-    reach. Returns the count and the classes sorted by coarea. The classes
-    are counted first: past CLASS_BUDGET it raises SearchExhaustedError.
+    reach. Returns the count and the classes sorted by coarea. One walk
+    counts the classes and then lists them: past CLASS_BUDGET it raises
+    SearchExhaustedError before listing any.
     """
-    if not volume > 0:
-        raise DomainError(f"volume bound must be positive, got {volume}")
-    if not math.isfinite(volume):
-        raise DomainError(f"volume bound must be finite, got {volume}")
+    if not 0 < volume < math.inf:  # exact for an int or a Fraction past the float range too
+        raise DomainError(f"volume bound must be finite and positive, got {volume}")
     system = _system(spec.fields())
     top = _cutoff(volume)
     fac = _ram_factors(system, top)
-    classes = _classes(fac, top, _count_even_ram_sets(fac, [top])[0])
-    return len(classes), classes
+    walk = _walk(fac, top)
+    count = _even_count(fac, walk, top)
+    _check_class_budget(count)
+    return count, _classes(fac, walk)
 
 
 @dataclass(frozen=True)
@@ -502,19 +504,17 @@ def short_interval_delta(spec: SpectrumSpec, volume: float, window: float) -> In
 
     r is the number of prescribed geodesic classes. Requires 0 < W < V, V finite and not 1.
     Counts without enumerating: one finiteness verdict, one prime pool up
-    to the V + W cutoff, and one traversal that counts both exact integer
-    cutoffs, each odd-size set's even children counted in bulk.
+    to the V + W cutoff, and one walk at that cutoff that counts both exact
+    integer cutoffs, each odd-size set's even children counted in bulk.
     """
-    if not volume > 0 or not window > 0:
-        raise DomainError("need positive volume and window")
-    if window >= volume:
-        raise DomainError(f"window {window} must be smaller than volume {volume}")
-    if not math.isfinite(volume) or volume == 1:
-        raise DomainError(f"need a finite volume other than 1 (ln V = 0), got {volume}")
+    if not 0 < window < volume < math.inf or volume == 1:  # exact, as in pi_of_V
+        raise DomainError(f"need 0 < W < V < inf and V != 1 (ln V = 0), got V={volume}, W={window}")
     system = _system(spec.fields())
     r = len(spec.classes)
-    cutoffs = [_cutoff(volume), _cutoff(Fraction(volume) + Fraction(window))]
-    c_lo, c_hi = _count_even_ram_sets(_ram_factors(system, cutoffs[-1]), cutoffs)
+    lo, top = _cutoff(volume), _cutoff(Fraction(volume) + Fraction(window))
+    fac = _ram_factors(system, top)
+    walk = _walk(fac, top)
+    c_lo, c_hi = _even_count(fac, walk, lo), _even_count(fac, walk, top)
     bound = window / (2**r * math.log(volume))
     return IntervalReport(
         traces=spec.traces(),

@@ -1,8 +1,9 @@
 """Command line interface.
 
 Every invocation but --help prints exactly one structured document to stdout
-(JSON by default, sorted keys, floats at 12 significant digits; --format csv
-flattens the row table), a usage error included. Logs go to stderr, controlled
+(JSON by default, sorted keys, floats at 12 significant digits), a usage
+error included. --format csv prints a key,value row per result key and per
+warning, then an empty line and the class table, if any. Logs go to stderr, controlled
 by the COMMCENSUS_LOG environment variable. Exit codes: 0 success, 2 domain
 error or usage error, 3 search exhaustion, 1 internal failure.
 """
@@ -11,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import logging
 import os
@@ -51,13 +51,9 @@ class Report:
     warnings: list[str] = field(default_factory=list)
 
 
-def _sig12(x: float) -> float:
-    return float(f"{x:.12g}")
-
-
 def _jsonable(obj):
     if isinstance(obj, float):
-        return _sig12(obj)
+        return float(f"{obj:.12g}")
     if isinstance(obj, dict):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -75,29 +71,30 @@ def _emit(report: Report, fmt: str) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return
-    # csv: the row table if the command has one, key,value rows otherwise
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    rows = report.result.get("classes")
-    if rows:
-        keys = sorted(rows[0])
-        writer.writerow(keys)
-        for row in rows:
-            writer.writerow([_csv_cell(row.get(k)) for k in keys])
-    else:
-        writer.writerow(["key", "value"])
-        for key in sorted(report.result):
-            writer.writerow([key, _csv_cell(report.result[key])])
-    sys.stdout.write(buf.getvalue())
+    # csv: a key,value row per result key but a nonempty class table and one per
+    # warning, then an empty line and the table
+    writer = csv.writer(sys.stdout, lineterminator="\n")
+    result = doc["result"]
+    table = result.get("classes") or []
+    writer.writerow(["key", "value"])
+    for key in sorted(result):
+        if key != "classes" or not table:
+            writer.writerow([key, _csv_cell(result[key])])
+    writer.writerows(["warnings", text] for text in report.warnings)
+    if table:
+        keys = sorted(table[0])
+        writer.writerows([[], keys, *([_csv_cell(row[k]) for k in keys] for row in table)])
 
 
 def _csv_cell(value):
+    """A float at 12 significant digits, a flat list space-joined, and any other list
+    or dict as canonical JSON, which json.loads reads back as the json document's value."""
     if isinstance(value, float):
-        return f"{_sig12(value):.12g}"
-    if isinstance(value, (list, tuple)):
-        return " ".join(str(v) for v in value)
-    if isinstance(value, dict):
-        return " ".join(f"{k}={v}" for k, v in sorted(value.items(), key=lambda kv: str(kv[0])))
+        return f"{value:.12g}"
+    if isinstance(value, list) and not any(isinstance(v, (dict, list)) for v in value):
+        return " ".join(map(str, value))
+    if isinstance(value, (dict, list)):
+        return json.dumps(value, sort_keys=True, separators=(",", ":"))
     return value
 
 

@@ -322,22 +322,23 @@ def test_short_interval_finite_triple_matches_pi():
 
 
 def test_even_ram_set_counter_against_brute_force(monkeypatch):
-    """Bulk-counted traversal and sorted listing vs plain subset enumeration.
+    """Bulk-counted walk and sorted listing vs plain subset enumeration.
 
     The counter and the listing take the factors as an int64 array (an
     infinite system's pool) and as an object array (a finite one's); the
-    listing must come in the order of sorted (prod, R) pairs. The counter
-    takes all cutoffs at once and with each alone as the top one. Cutoffs sit
+    listing must come in the order of sorted (prod, R) pairs, and as many as
+    the counter reads off the same walk. The counter reads every cutoff off
+    one walk at the top one, and each off a walk of its own. Cutoffs sit
     on an achievable even-subset product and one either side of it, on the
     square of a factor (isqrt(N) is then that factor) and one either side,
     plus 0 and 1; half the pools contain p = 2, whose factor is 1. The walk
     is handed at most K + 1 factors, K = #{f <= isqrt(N)} at the top cutoff N.
     """
-    walk, heads = census._odd_nodes, []
+    odd_nodes, heads = census._odd_nodes, []
 
     def watched(fac, top):
         heads.append(len(fac))
-        return walk(fac, top)
+        return odd_nodes(fac, top)
 
     monkeypatch.setattr(census, "_odd_nodes", watched)
     rng = random.Random(508)
@@ -358,15 +359,19 @@ def test_even_ram_set_counter_against_brute_force(monkeypatch):
             arr = np.array(fac, dtype=dtype)
             for cuts, counts in [(cutoffs, want), *(([c], [n]) for c, n in zip(cutoffs, want))]:
                 heads.clear()
-                assert census._count_even_ram_sets(arr, cuts) == counts, (pool, cuts, dtype)
+                walk = census._walk(arr, cuts[-1])
+                assert [census._even_count(arr, walk, c) for c in cuts] == counts, (pool, cuts, dtype)
                 k = sum(f <= math.isqrt(cuts[-1]) for f in fac)
-                assert heads and heads[0] <= k + 1, (pool, cuts)
+                assert len(heads) == 1 and heads[0] <= k + 1, (pool, cuts)
         for c, n in zip(cutoffs, want):
             brute = _brute_even_sets(pool, c)
             assert len(brute) == n
             for dtype in (np.int64, object):
-                listed = census._sorted_even_sets(np.array(fac, dtype=dtype), c)
+                arr = np.array(fac, dtype=dtype)
+                walk = census._walk(arr, c)
+                listed = census._sorted_even_sets(arr, walk)
                 assert listed == brute, (pool, c, dtype)
+                assert len(listed) == census._even_count(arr, walk, c), (pool, c, dtype)
                 assert all(type(p) is int for R in listed for p in R), (pool, c, dtype)
 
 
@@ -465,11 +470,14 @@ def test_finite_census_past_int64():
         census._nonsplit_pool(census._system(fields[1:2]), 10**30)
     # the listing takes one path below 2**64 and past it: the system's own
     # factors, and those with 3, 11, 13 and 17 added
+    def listed(fac, top):
+        return census._sorted_even_sets(fac, census._walk(fac, top))
+
     fac = census._ram_factors(census._system(fields), p)
-    assert fac.dtype == object and census._sorted_even_sets(fac, 4 * (p - 1)) == [(), (5, p)]
+    assert fac.dtype == object and listed(fac, 4 * (p - 1)) == [(), (5, p)]
     fac = np.sort(np.concatenate([fac, np.array([2, 10, 12, 16], dtype=object)]))
     for top in (0, 1, 48, 4 * (p - 1), 480 * (p - 1), 2 * 4 * 10 * 12 * 16 * (p - 1)):
-        assert census._sorted_even_sets(fac, top) == _brute_even_sets((fac + 1).tolist(), top), top
+        assert listed(fac, top) == _brute_even_sets((fac + 1).tolist(), top), top
 
 
 def _tables_built(monkeypatch) -> list[int]:
@@ -789,6 +797,61 @@ def test_short_interval_validation():
     with pytest.raises(DomainError):
         short_interval_delta(spec, 1.0, 0.5)  # ln V = 0: no density floor
     assert short_interval_delta(spec, 0.9, 0.5).bound < 0  # V < 1 stays valid
+
+
+def test_volumes_past_the_float_range():
+    """Finite and positive is decided exactly: an int or a Fraction past the float
+    range is a finite volume and reaches the sieve budget, as 1e300 does, and a
+    finite system counts its whole census there; inf and nan stay DomainErrors."""
+    spec = spectrum_from_inputs(traces=[4])
+    for call in (
+        lambda: pi_of_V(spec, 10**400),
+        lambda: pi_of_V(spec, Fraction(10**400, 3)),
+        lambda: pi_of_V(spec, 1e300),
+        lambda: short_interval_delta(spec, 10**400, 10),
+        lambda: short_interval_delta(spec, 1e300, 10),
+    ):
+        with pytest.raises(SearchExhaustedError) as info:
+            call()
+        assert info.value.bound == census.SIEVE_BUDGET
+    for volume in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            pi_of_V(spec, volume)
+        with pytest.raises(DomainError):
+            short_interval_delta(spec, volume, 10)
+    finite = spectrum_from_inputs(radicands=[3, 17, 51])
+    assert pi_of_V(finite, 10**400)[0] == pi_of_V(finite, Fraction(10**400, 3))[0] == 2
+    assert short_interval_delta(finite, 10**400, 10).delta == 0
+
+
+def test_each_census_call_walks_once(monkeypatch):
+    """pi_of_V counts and lists off one walk, short_interval_delta counts both
+    cutoffs off one, and count_algebras lists off one. Past CLASS_BUDGET, pi_of_V
+    raises after its one walk and count_algebras before any."""
+    spec, fields = spectrum_from_inputs(traces=[4]), construct_family(6).fields
+    odd_nodes, walks = census._odd_nodes, []
+
+    def watched(fac, top):
+        walks.append(top)
+        return odd_nodes(fac, top)
+
+    monkeypatch.setattr(census, "_odd_nodes", watched)
+    calls = {
+        "pi_of_V": lambda: pi_of_V(spec, 1e5),
+        "pi_of_V, finite": lambda: pi_of_V(spectrum_from_inputs(radicands=[3, 17, 51]), 40),
+        "short_interval_delta": lambda: short_interval_delta(spec, 1e5, 1e4),
+        "count_algebras": lambda: count_algebras(fields),
+    }
+    for name, call in calls.items():
+        walks.clear()
+        call()
+        assert len(walks) == 1, name
+    monkeypatch.setattr(census, "CLASS_BUDGET", 2**6 - 1)
+    for name, want in (("pi_of_V", 1), ("count_algebras", 0)):
+        walks.clear()
+        with pytest.raises(SearchExhaustedError):
+            calls[name]()
+        assert len(walks) == want, name
 
 
 def test_construct_family_small_n():

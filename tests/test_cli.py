@@ -1,6 +1,8 @@
 """CLI contract: document shape, formats, determinism, exit codes."""
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 import time
@@ -184,12 +186,54 @@ def test_byte_identical_reruns(capsys):
 
 
 def test_csv_class_table(capsys):
+    """The counts and the verdict come first as key,value rows, then an empty line
+    and the class table."""
     code, out = run(capsys, "count", "--radicands", "3,17,51", "--format", "csv")
     assert code == 0
-    lines = out.strip().split("\n")
+    head, table = out.split("\n\n")
+    rows = list(csv.reader(io.StringIO(head)))
+    assert rows[0] == ["key", "value"]
+    assert ["count_total", "2"] in rows and ["nonsplit_primes", "3 17"] in rows
+    assert ["verdict", '{"finite":true,"square_witness_indices":[0,1,2]}'] in rows
+    assert all(key != "warnings" for key, _ in rows)
+    lines = table.strip().split("\n")
     assert lines[0] == "coarea,coarea_exact,is_division,ram"
     assert len(lines) == 3
     assert "32*pi/3" in lines[2]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("family", "--n", "0"),
+        ("spectra", "--radicands", "1321"),
+        ("selectivity", "--ramified", "2,5", "--order-disc", "45"),
+        ("count", "--radicands", "3,17,51"),
+        ("pi", "--traces", "4", "--volume", "1e3"),
+    ],
+)
+def test_csv_cells_read_back_as_the_json_document(capsys, argv):
+    """A dict or a nested list is one canonical JSON cell (sorted keys, no spaces)
+    that json.loads reads back as the json document's value; a flat list is
+    space-joined, and a scalar is its text."""
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    code, out = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    head, _, table = out.partition("\n\n")
+    rows = list(csv.reader(io.StringIO(head)))[1:]
+    table = list(csv.DictReader(io.StringIO(table)))
+    cells = [(doc["result"][key], cell) for key, cell in rows if key != "warnings"]
+    cells += [(want[k], row[k]) for want, row in zip(doc["result"].get("classes", []), table) for k in row]
+    assert len(table) == len(doc["result"].get("classes") or [])
+    for value, cell in cells:
+        if isinstance(value, list) and not any(isinstance(v, (dict, list)) for v in value):
+            assert cell.split() == [str(v) for v in value], (argv, cell)
+        elif isinstance(value, (dict, list)):
+            assert json.loads(cell) == value, (argv, cell)
+            assert cell == json.dumps(value, sort_keys=True, separators=(",", ":")), (argv, cell)
+        else:
+            assert cell == (f"{value:.12g}" if isinstance(value, float) else str(value)), (argv, cell)
 
 
 def test_csv_key_value_fallback(capsys):
@@ -461,17 +505,22 @@ def test_sieve_budget_exit_code(capsys, monkeypatch):
         assert doc["error"]["bound"] == SIEVE_BUDGET
 
 
-def _table_rows(capsys, argv) -> tuple[dict, list[str]]:
-    """The json document of a command and the lines of its csv table."""
+def _table_rows(capsys, argv) -> tuple[dict, list[list[str]], list[str]]:
+    """The json document of a command, the key,value rows of its csv output and
+    the lines of the class table after them."""
     code, doc = run_json(capsys, *argv)
     assert code == 0
     code, out = run(capsys, *argv, "--format", "csv")
     assert code == 0
-    return doc, out.strip().split("\n")
+    head, table = out.split("\n\n")
+    rows = list(csv.reader(io.StringIO(head)))
+    assert rows[0] == ["key", "value"]
+    return doc, rows[1:], table.strip().split("\n")
 
 
 def test_class_table_truncation(capsys):
-    """count and pi print the first MAX_CLASS_ROWS classes and warn; the counts stay whole."""
+    """count and pi print the first MAX_CLASS_ROWS classes and warn; the counts stay
+    whole, and csv prints them and the warning before the table."""
     def family_radicands(n):  # 2**n classes
         return ",".join(str(f.d) for f in construct_family(n).fields)
 
@@ -479,17 +528,22 @@ def test_class_table_truncation(capsys):
         (("count", "--radicands", family_radicands(8)), "count_total", 256),
         (("pi", "--traces", "4", "--volume", "1e5"), "pi", 16_720),
     ):
-        doc, lines = _table_rows(capsys, argv)
+        doc, pairs, lines = _table_rows(capsys, argv)
         rows = doc["result"]["classes"]
         assert doc["result"][key] == total
         assert len(rows) == MAX_CLASS_ROWS == 200
-        assert doc["warnings"] == [f"class table truncated to 200 of {total} rows"]
+        warning = f"class table truncated to 200 of {total} rows"
+        assert doc["warnings"] == [warning]
+        assert [key, str(total)] in pairs
+        assert pairs[-1] == ["warnings", warning]
         assert lines[0] == "coarea,coarea_exact,is_division,ram"
         assert len(lines) == 1 + MAX_CLASS_ROWS
         assert lines[-1].split(",")[1] == rows[-1]["coarea_exact"]
-    doc, lines = _table_rows(capsys, ("count", "--radicands", family_radicands(7)))
+    doc, pairs, lines = _table_rows(capsys, ("count", "--radicands", family_radicands(7)))
     assert len(doc["result"]["classes"]) == doc["result"]["count_total"] == 128
     assert doc["warnings"] == []
+    assert ["count_total", "128"] in pairs
+    assert all(key != "warnings" for key, _ in pairs)
     assert len(lines) == 1 + 128
 
 
