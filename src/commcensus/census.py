@@ -10,6 +10,7 @@ the empty one division algebras.
 
 from __future__ import annotations
 
+import functools
 import gc
 import math
 from dataclasses import dataclass
@@ -50,9 +51,10 @@ __all__ = [
 # 0.5 GB at the budget.
 CLASS_BUDGET = 1 << 21
 
-# Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half
-# the primes), peaks near 0.5 bytes of RSS per number sieved (short_interval_delta
-# at V = 3.8e8, W = 3.8e7: 399,160,597 numbers, 195 MB), so about 0.2 GB at the budget.
+# Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half the
+# primes), stays in its sieved blocks, never merged, so a count peaks near 0.3 bytes of
+# RSS per number sieved (commcensus interval --traces 4 --V 3.8e8 --W 3.8e7: 399,160,597
+# numbers, 121 MB, the interpreter included), so under 130 MB at the budget.
 SIEVE_BUDGET = 4 * 10**8
 
 # Default bound on construct_family's generating primes and fourth-field radicand.
@@ -174,7 +176,7 @@ def _finite(system: _System) -> tuple[int, ...]:
         raise InfiniteCensusError(
             "infinitely many primes are nonsplit in every field", _verdict(system)
         )
-    return tuple(_nonsplit_pool(system, system.ramified[-1]).tolist())
+    return tuple(_merged(_nonsplit_pool(system, system.ramified[-1])).tolist())
 
 
 @dataclass(frozen=True)
@@ -211,7 +213,7 @@ def count_algebras(fields) -> CensusReport:
     count = 2 ** (len(s0) - 1) if s0 else 1
     _check_class_budget(count)
     fac = np.array(s0, dtype=object) - 1
-    classes = _classes(fac, _walk(fac, math.prod(fac)))
+    classes = _classes(fac, _walk([fac], math.prod(fac)))
     if len(classes) != count:
         raise RuntimeError("even-subset count mismatch")
     return CensusReport(
@@ -273,11 +275,13 @@ def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
     yield from prime_segments(lo, hi, modulus, residues)
 
 
-def _nonsplit_pool(system: _System, pmax: int) -> np.ndarray:
-    """Primes p <= pmax splitting in none of the fields, ascending.
+def _nonsplit_pool(system: _System, pmax: int) -> list[np.ndarray]:
+    """Primes p <= pmax splitting in none of the fields, as disjoint ascending blocks.
 
-    The unramified ones are inert in every field; a finite system has none,
-    and its pool holds Python ints, since only the discs bound its primes.
+    The unramified ones are inert in every field: the blocks _inert_blocks yields.
+    A finite system has none, and its one block, the ramified primes, holds Python
+    ints, since only the discs bound its primes. A count reads the blocks as they
+    are (_walk, _spans); only a listing merges them into one array (_merged).
     """
     # sieved first: past SIEVE_BUDGET that raises before a ramified p overflows int64
     blocks = list(_inert_blocks(system, 2, pmax))
@@ -286,12 +290,17 @@ def _nonsplit_pool(system: _System, pmax: int) -> np.ndarray:
          if p <= pmax and all(splitting(fld, p) is not SplitType.SPLIT for fld in system.fields)],
         dtype=object if system.finite else np.int64,
     ))
-    pool = np.concatenate(blocks)
-    del blocks  # freed before the sort; the primes are distinct, so an unstable sort will do
-    pool.sort()
-    return pool
+    return blocks
 
 
+def _merged(blocks: list[np.ndarray]) -> np.ndarray:
+    """The blocks' entries in one ascending array; they are distinct, so an unstable sort will do."""
+    merged = np.concatenate(blocks)
+    merged.sort()
+    return merged
+
+
+@functools.cache
 def _pi_within(bits: int) -> tuple[Fraction, Fraction]:
     """Rationals lo < pi < hi from Euler's pi = 4 atan(1/2) + 4 atan(1/3).
 
@@ -326,14 +335,14 @@ def _cutoff(volume: float | Fraction) -> int:
         bits *= 2
 
 
-def _ram_factors(system: _System, top: int) -> np.ndarray:
-    """Ascending factors p - 1 of the primes a class within cutoff top may ramify at.
-
-    An int64 array for an infinite system and an object one for a finite one, as the pool.
+def _ram_factors(system: _System, top: int) -> list[np.ndarray]:
+    """Factors p - 1 of the primes a class within cutoff top may ramify at, in the
+    pool's disjoint ascending blocks: int64 for an infinite system, object for a finite one.
     """
-    fac = _nonsplit_pool(system, max(top + 1, 2))
-    fac -= 1
-    return fac
+    blocks = _nonsplit_pool(system, max(top + 1, 2))
+    for block in blocks:
+        block -= 1
+    return blocks
 
 
 def _odd_nodes(fac: list[int], top: int):
@@ -371,37 +380,44 @@ class _Walk(NamedTuple):
     chosen: tuple[tuple[int, ...], ...]
 
 
-def _walk(fac: np.ndarray, top: int) -> _Walk:
+def _walk(blocks: list[np.ndarray], top: int) -> _Walk:
     """The odd nodes of the even sets R of the factors with prod(R) <= top, walked once.
 
-    fac is the ascending array of _ram_factors, int64 or object alike. The walk is
-    handed only the head fac[:K + 1], K = #{f <= isqrt(top)}. Every factor is at
-    least 1, so a k that passes its check in _odd_nodes has fac[k] * fac[k + 1] <= top,
-    and a j has fac[j + 1] * fac[j + 2] <= top. The smaller of two such factors is at
-    most isqrt(top): k < K and j + 1 < K. The k and j loops over the head end just
-    where the walk over all of fac would stop, and the last factor either reads is fac[K].
+    blocks are the disjoint ascending blocks of _ram_factors, int64 or object alike, and
+    fac is their merge. The walk is handed only the head fac[:K + 1], K = #{f <= isqrt(top)}.
+    Every factor is at least 1, so a k that passes its check in _odd_nodes has
+    fac[k] * fac[k + 1] <= top, and a j has fac[j + 1] * fac[j + 2] <= top. The smaller of
+    two such factors is at most isqrt(top): k < K and j + 1 < K. The k and j loops over the
+    head end just where the walk over all of fac would stop, and the last factor either
+    reads is fac[K]. The head merges each block's factors up to isqrt(top) and its next one:
+    fac[K] is the least of those next ones, so the merge cut at K + 1 keeps it.
     """
-    head = int(np.searchsorted(fac, math.isqrt(top), "right")) + 1
-    nodes = list(_odd_nodes(fac[:head].tolist(), top))
+    ends = [int(np.searchsorted(block, math.isqrt(top), "right")) for block in blocks]
+    head = _merged([block[:end + 1] for block, end in zip(blocks, ends)])[:sum(ends) + 1]
+    nodes = list(_odd_nodes(head.tolist(), top))
     starts, prods, chosen = zip(*nodes) if nodes else ((), (), ())
-    return _Walk(top, np.array(starts, np.intp), np.array(prods, fac.dtype), chosen)
+    return _Walk(top, np.array(starts, np.intp), np.array(prods, head.dtype), chosen)
 
 
-def _spans(fac: np.ndarray, walk: _Walk, cutoff: int) -> np.ndarray:
+def _spans(blocks: list[np.ndarray], walk: _Walk, cutoff: int) -> np.ndarray:
     """Each node's number of even children within cutoff <= walk.top, the j >= start with
-    fac[j] <= cutoff // prod(S). One searchsorted reads this last level for every node,
-    as in Deleglise-Rivat prime counting; the walk never visits it."""
-    return np.maximum(np.searchsorted(fac, cutoff // walk.prods, "right") - walk.starts, 0)
+    fac[j] <= cutoff // prod(S). pi_pool(cutoff // prod(S)) is one searchsorted per block
+    for every node, as in Deleglise-Rivat prime counting; the walk never visits this last
+    level, and the blocks are not merged for it."""
+    quotients = cutoff // walk.prods
+    below = sum(np.searchsorted(block, quotients, "right") for block in blocks)
+    return np.maximum(below - walk.starts, 0)
 
 
-def _even_count(fac: np.ndarray, walk: _Walk, cutoff: int) -> int:
+def _even_count(blocks: list[np.ndarray], walk: _Walk, cutoff: int) -> int:
     """Number of even sets R with prod(R) <= cutoff <= walk.top, the empty one included."""
-    return int(cutoff >= 1) + int(_spans(fac, walk, cutoff).sum())
+    return int(cutoff >= 1) + int(_spans(blocks, walk, cutoff).sum())
 
 
 def _sorted_even_sets(fac: np.ndarray, walk: _Walk) -> list[tuple[int, ...]]:
     """Every even set R of the primes f + 1 with prod(f) <= walk.top, ascending by (prod, R).
 
+    fac is the merge of the blocks walked (_merged).
     Each node's children are its _spans at walk.top, and one lexsort orders them all:
     by prod, then by the indices of R, padded with -1 so that a prefix sorts first.
     Equal coareas are common (trace 4 at V = 3e5: 22,966 of 47,793 classes share one),
@@ -412,7 +428,7 @@ def _sorted_even_sets(fac: np.ndarray, walk: _Walk) -> list[tuple[int, ...]]:
     starts, prods, chosen = walk.starts, walk.prods, walk.chosen
     if not chosen:
         return [()] if walk.top >= 1 else []
-    counts = _spans(fac, walk, walk.top)
+    counts = _spans([fac], walk, walk.top)
     # the node and the last index of every child, nodes in walk order
     node = np.repeat(np.arange(len(chosen)), counts)
     child = np.arange(len(node)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
@@ -475,11 +491,11 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]
         raise DomainError(f"volume bound must be finite and positive, got {volume}")
     system = _system(spec.fields())
     top = _cutoff(volume)
-    fac = _ram_factors(system, top)
-    walk = _walk(fac, top)
-    count = _even_count(fac, walk, top)
+    blocks = _ram_factors(system, top)
+    walk = _walk(blocks, top)
+    count = _even_count(blocks, walk, top)
     _check_class_budget(count)
-    return count, _classes(fac, walk)
+    return count, _classes(_merged(blocks), walk)
 
 
 @dataclass(frozen=True)
@@ -502,20 +518,29 @@ class IntervalReport:
 def short_interval_delta(spec: SpectrumSpec, volume: float, window: float) -> IntervalReport:
     """Census growth pi(V+W) - pi(V) against the density floor W/(2**r * ln V).
 
-    r is the number of prescribed geodesic classes. Requires 0 < W < V, V finite and not 1.
-    Counts without enumerating: one finiteness verdict, one prime pool up
-    to the V + W cutoff, and one walk at that cutoff that counts both exact
-    integer cutoffs, each odd-size set's even children counted in bulk.
+    r is the number of prescribed geodesic classes. Requires 0 < W < V, V finite and not 1,
+    and the floor a finite float, checked before anything is counted. Counts without
+    enumerating: one finiteness verdict, one prime pool up to the V + W cutoff, and one
+    walk at that cutoff that counts both exact integer cutoffs, each odd-size set's even
+    children counted in bulk.
     """
     if not 0 < window < volume < math.inf or volume == 1:  # exact, as in pi_of_V
         raise DomainError(f"need 0 < W < V < inf and V != 1 (ln V = 0), got V={volume}, W={window}")
     system = _system(spec.fields())
-    r = len(spec.classes)
+    try:
+        log_v = math.log(volume)
+    except (OverflowError, ValueError):  # a rational V outside the float range
+        log_v = math.log(volume.numerator) - math.log(volume.denominator)
+    try:
+        bound = window / (2 ** len(spec.classes) * log_v)
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):  # the float-range rule of a coarea
+        raise DomainError("density floor W/(2**r * ln V) is past the float range")
     lo, top = _cutoff(volume), _cutoff(Fraction(volume) + Fraction(window))
-    fac = _ram_factors(system, top)
-    walk = _walk(fac, top)
-    c_lo, c_hi = _even_count(fac, walk, lo), _even_count(fac, walk, top)
-    bound = window / (2**r * math.log(volume))
+    blocks = _ram_factors(system, top)
+    walk = _walk(blocks, top)
+    c_lo, c_hi = _even_count(blocks, walk, lo), _even_count(blocks, walk, top)
     return IntervalReport(
         traces=spec.traces(),
         volume=volume,

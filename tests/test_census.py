@@ -10,6 +10,7 @@ import math
 import random
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -359,8 +360,10 @@ def test_even_ram_set_counter_against_brute_force(monkeypatch):
             arr = np.array(fac, dtype=dtype)
             for cuts, counts in [(cutoffs, want), *(([c], [n]) for c, n in zip(cutoffs, want))]:
                 heads.clear()
-                walk = census._walk(arr, cuts[-1])
-                assert [census._even_count(arr, walk, c) for c in cuts] == counts, (pool, cuts, dtype)
+                # the factors in two interleaved blocks, as a progression sieve yields them
+                blocks = [arr[0::2], arr[1::2]]
+                walk = census._walk(blocks, cuts[-1])
+                assert [census._even_count(blocks, walk, c) for c in cuts] == counts, (pool, cuts, dtype)
                 k = sum(f <= math.isqrt(cuts[-1]) for f in fac)
                 assert len(heads) == 1 and heads[0] <= k + 1, (pool, cuts)
         for c, n in zip(cutoffs, want):
@@ -368,11 +371,74 @@ def test_even_ram_set_counter_against_brute_force(monkeypatch):
             assert len(brute) == n
             for dtype in (np.int64, object):
                 arr = np.array(fac, dtype=dtype)
-                walk = census._walk(arr, c)
+                walk = census._walk([arr], c)
                 listed = census._sorted_even_sets(arr, walk)
                 assert listed == brute, (pool, c, dtype)
-                assert len(listed) == census._even_count(arr, walk, c), (pool, c, dtype)
+                assert len(listed) == census._even_count([arr], walk, c), (pool, c, dtype)
                 assert all(type(p) is int for R in listed for p in R), (pool, c, dtype)
+
+
+def _check_block_counts(blocks, top: int, cutoffs: list[int], counts: list[int]) -> None:
+    """The pool's blocks count as their merge does, and as counts says: one walk at top
+    over the blocks equals one over the merge, and at each cutoff pi_pool summed over
+    the blocks equals one searchsorted on the merge."""
+    fac = census._merged(blocks)
+    walk, merged = census._walk(blocks, top), census._walk([fac], top)
+    assert walk.chosen == merged.chosen
+    assert np.array_equal(walk.starts, merged.starts) and np.array_equal(walk.prods, merged.prods)
+    for c, want in zip(cutoffs, counts):
+        assert np.array_equal(census._spans(blocks, walk, c), census._spans([fac], merged, c)), c
+        assert census._even_count(blocks, walk, c) == want, c
+
+
+@pytest.mark.parametrize(
+    "traces, top, n_blocks",
+    [
+        ((4,), 400_000, 2),  # the plain route: one sieved block, then the ramified one
+        ((4, 5), 3_200_000, 7),  # one stretch of 84 * 2**19: six residue blocks
+        ((4, 5), 44_100_000, 13),  # two stretches: top + 1 > 84 * 2**19 = 44,040,192
+    ],
+)
+def test_block_counts_agree_with_the_merged_pool(traces, top, n_blocks):
+    """Counts read off the sieved blocks equal the DFS oracle's, on every sieve route."""
+    system = census._system(spectrum_from_inputs(traces=list(traces)).fields())
+    blocks = census._ram_factors(system, top)
+    assert len(blocks) == n_blocks and all(b.dtype == np.int64 for b in blocks)
+    assert all((b[1:] > b[:-1]).all() for b in blocks)  # each block ascends
+    prods = oracles.even_subset_products(census._merged(blocks).tolist(), top)
+    cutoffs = [0, 1, 2, top // 1000, top // 10, top // 2, top - 1, top]
+    _check_block_counts(blocks, top, cutoffs, [bisect.bisect_right(prods, c) for c in cutoffs])
+
+
+def test_block_counts_of_a_finite_system():
+    """A finite system's one block of Python ints counts as the 2**m oracle does."""
+    system = census._system(construct_family(6).fields)
+    fac = [p - 1 for p in census._finite(system)]
+    top = math.prod(fac)
+    blocks = census._ram_factors(system, top)
+    assert len(blocks) == 1 and blocks[0].dtype == object
+    cutoffs = sorted({0, 1, top, *(math.prod(fac[i:i + 2]) + d for i in range(len(fac)) for d in (-1, 0, 1))})
+    _check_block_counts(blocks, top, cutoffs, [oracles.even_subset_count(fac, c + 1) for c in cutoffs])
+
+
+def test_walk_head_takes_the_next_factor_from_another_block():
+    """Traces 4, 5 at top = f**2 - 1 for a factor f whose predecessor in the pool lies in
+    another residue block mod 84: isqrt(top) = f - 1, so the head must take f, the first
+    factor past isqrt(top), from its own block, or the walk loses the sets that hold
+    f's predecessor and a larger factor."""
+    system = census._system(spectrum_from_inputs(traces=[4, 5]).fields())
+    blocks = census._ram_factors(system, 3_200_000)
+    block = {f: i for i, b in enumerate(blocks) for f in b.tolist()}
+    fac = census._merged(blocks)
+    k = int(np.searchsorted(fac, math.isqrt(3_200_000), "right"))
+    while block[int(fac[k - 1])] == block[int(fac[k])]:
+        k -= 1
+    top = int(fac[k]) ** 2 - 1
+    blocks = census._ram_factors(system, top)
+    assert len(blocks) == 7 and int(np.searchsorted(census._merged(blocks), math.isqrt(top), "right")) == k
+    prods = oracles.even_subset_products(census._merged(blocks).tolist(), top)
+    cutoffs = [top // 3, top - 1, top]
+    _check_block_counts(blocks, top, cutoffs, [bisect.bisect_right(prods, c) for c in cutoffs])
 
 
 def _brute_even_sets(pool: list[int], top: int) -> list[tuple[int, ...]]:
@@ -391,7 +457,7 @@ def test_nonsplit_pool_past_table_bound():
     big = field_from_d(1_000_003)
     assert big.disc > 1 << 20
     for fields in ((big,), (field_from_d(3), big)):
-        pool = census._nonsplit_pool(census._system(fields), 10**4).tolist()
+        pool = census._merged(census._nonsplit_pool(census._system(fields), 10**4)).tolist()
         assert pool == oracles.nonsplit_scan([f.disc for f in fields], 10**4)
 
 
@@ -428,7 +494,7 @@ def test_nonsplit_pool_matches_scan_on_both_routes(monkeypatch, traces, routes):
     moduli = _sieve_moduli(monkeypatch)
     for n, modulus in routes.items():
         moduli.clear()
-        pool = census._nonsplit_pool(census._system(fields), n)
+        pool = census._merged(census._nonsplit_pool(census._system(fields), n))
         assert pool.dtype == np.int64
         assert pool.tolist() == [p for p in scan if p <= n], n
         assert set(moduli) == {modulus}, n
@@ -444,11 +510,11 @@ def test_nonsplit_pool_of_finite_system(monkeypatch):
     """
     fields = tuple(field_from_d(d) for d in (2, 3, 6))
     moduli = _sieve_moduli(monkeypatch)
-    pool = census._nonsplit_pool(census._system(fields), 1_100_000).tolist()
+    pool = census._merged(census._nonsplit_pool(census._system(fields), 1_100_000)).tolist()
     assert pool == oracles.nonsplit_scan([8, 12, 24], 1_100_000) == list(nonsplit_primes(fields))
     assert moduli == []
     fields = tuple(field_from_d(d) for d in (3, 1_000_003, 3_000_009))
-    pool = census._nonsplit_pool(census._system(fields), 1_100_000).tolist()
+    pool = census._merged(census._nonsplit_pool(census._system(fields), 1_100_000)).tolist()
     scan = oracles.nonsplit_scan([f.disc for f in fields], 1_100_000)
     assert pool == scan == list(nonsplit_primes(fields)) == [1_000_003]
     assert moduli == []
@@ -465,15 +531,15 @@ def test_finite_census_past_int64():
     fields = (field_from_d(5), field_from_d(p), field_from_d(5 * p))
     assert nonsplit_primes(fields) == (5, p)
     assert [c.ram for c in count_algebras(fields).classes] == [RamSet(()), RamSet((5, p))]
-    assert census._nonsplit_pool(census._system(fields), 10**30).tolist() == [5, p]
+    assert census._merged(census._nonsplit_pool(census._system(fields), 10**30)).tolist() == [5, p]
     with pytest.raises(SearchExhaustedError):
         census._nonsplit_pool(census._system(fields[1:2]), 10**30)
     # the listing takes one path below 2**64 and past it: the system's own
     # factors, and those with 3, 11, 13 and 17 added
     def listed(fac, top):
-        return census._sorted_even_sets(fac, census._walk(fac, top))
+        return census._sorted_even_sets(fac, census._walk([fac], top))
 
-    fac = census._ram_factors(census._system(fields), p)
+    fac = census._merged(census._ram_factors(census._system(fields), p))
     assert fac.dtype == object and listed(fac, 4 * (p - 1)) == [(), (5, p)]
     fac = np.sort(np.concatenate([fac, np.array([2, 10, 12, 16], dtype=object)]))
     for top in (0, 1, 48, 4 * (p - 1), 480 * (p - 1), 2 * 4 * 10 * 12 * 16 * (p - 1)):
@@ -514,7 +580,7 @@ def test_character_table_only_where_it_pays(monkeypatch):
     system = census._system(spectrum_from_inputs(traces=[4]).fields())
     for pmax, tables in ((12, []), (13, [12])):
         built.clear()
-        assert census._nonsplit_pool(system, pmax).tolist() == oracles.nonsplit_scan([12], pmax)
+        assert census._merged(census._nonsplit_pool(system, pmax)).tolist() == oracles.nonsplit_scan([12], pmax)
         assert built == tables, pmax
     moduli = _sieve_moduli(monkeypatch)
     built.clear()
@@ -706,11 +772,12 @@ def test_class_budget_is_checked_before_building(monkeypatch):
 
 
 def test_class_budget_is_checked_before_listing_the_pool(monkeypatch):
-    """Past CLASS_BUDGET, pi_of_V raises having listed only the walk's head of
-    the pool, never the whole pool: counting reads it as an array."""
+    """Past CLASS_BUDGET, pi_of_V raises having merged and listed only the walk's
+    head of the pool, never the whole pool: counting reads its blocks as they are."""
     spec = spectrum_from_inputs(traces=[4])
     count = pi_of_V(spec, 1e4)[0]
-    ram_factors, sizes, listed = census._ram_factors, [], []
+    ram_factors, merged = census._ram_factors, census._merged
+    sizes, merges, listed = [], [], []
 
     class Watched(np.ndarray):
         def tolist(self):
@@ -718,19 +785,26 @@ def test_class_budget_is_checked_before_listing_the_pool(monkeypatch):
             return super().tolist()
 
     def watched(system, top):
-        fac = ram_factors(system, top).view(Watched)
-        sizes.append(len(fac))
-        return fac
+        blocks = ram_factors(system, top)
+        sizes.append(sum(map(len, blocks)))
+        return blocks
+
+    def watched_merge(blocks):
+        merges.append(sum(map(len, blocks)))
+        return merged(blocks).view(Watched)
 
     monkeypatch.setattr(census, "_ram_factors", watched)
+    monkeypatch.setattr(census, "_merged", watched_merge)
     monkeypatch.setattr(census, "CLASS_BUDGET", count - 1)
     with pytest.raises(SearchExhaustedError):
         pi_of_V(spec, 1e4)
-    assert sizes[0] > 100 and listed and max(listed) < sizes[0], (sizes, listed)
+    assert sizes[0] > 100 and listed and max(listed + merges) < sizes[0], (sizes, merges, listed)
     monkeypatch.setattr(census, "CLASS_BUDGET", count)
+    merges.clear()
     listed.clear()
     assert pi_of_V(spec, 1e4)[0] == count
-    assert sizes[-1] in listed  # within the budget the listing lists it
+    # within the budget the listing merges and lists it
+    assert sizes[-1] in merges and sizes[-1] in listed
 
 
 def test_short_interval_scale_pin():
@@ -745,13 +819,25 @@ def test_short_interval_scale_pin():
 
 def test_short_interval_scale_pin_at_3e8():
     """Trace 4 at V = 3e8, W = 3e7: a pool of 8.5 M primes, counted without
-    listing it; the walk reads only the factors up to sqrt(N)."""
+    listing it; the walk reads only the factors up to sqrt(N).
+
+    Nor is the pool merged: its blocks hold 65 MiB, and the call's traced peak
+    is 71 MiB; a merged copy would add 65 MiB more (130 MiB, measured with one).
+    The bound of 100 MiB leaves about 29 MiB either way.
+    """
     spec = spectrum_from_inputs(traces=[4])
     t0 = time.perf_counter()
     rep = short_interval_delta(spec, 3e8, 3e7)
     elapsed = time.perf_counter() - t0
     assert (rep.count_at_v, rep.count_at_v_plus_w) == (38_167_240, 41_880_360)
     assert elapsed < 2.0, elapsed
+    tracemalloc.start()
+    try:
+        assert short_interval_delta(spec, 3e8, 3e7) == rep
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100 * 2**20, peak
 
 
 def test_listing_orders_equal_coareas_by_ram_set():
@@ -822,6 +908,25 @@ def test_volumes_past_the_float_range():
     finite = spectrum_from_inputs(radicands=[3, 17, 51])
     assert pi_of_V(finite, 10**400)[0] == pi_of_V(finite, Fraction(10**400, 3))[0] == 2
     assert short_interval_delta(finite, 10**400, 10).delta == 0
+
+
+def test_density_floor_past_the_float_range():
+    """W/(2**r * ln V) takes ln V from math.log, and for a Fraction V past the float
+    range from its numerator and denominator. A floor past the float range is a
+    DomainError, raised before the census is counted: before the sieve budget on
+    an infinite system."""
+    finite = spectrum_from_inputs(radicands=[3, 17, 51])
+    rep = short_interval_delta(finite, Fraction(10**400, 3), 10)
+    assert rep.delta == 0
+    assert rep.bound == 10 / (2**3 * (math.log(10**400) - math.log(3))) > 0
+    assert short_interval_delta(finite, 10**400, 10).bound == 10 / (2**3 * math.log(10**400))
+    tiny = short_interval_delta(finite, Fraction(1, 10**400), Fraction(1, 10**401))
+    assert tiny.delta == 0 and tiny.bound == 0.0  # W underflows, ln V does not
+    spec = spectrum_from_inputs(traces=[4])
+    assert short_interval_delta(spec, 5000.0, 500.0).bound == 500.0 / (2 * math.log(5000.0))
+    for system in (finite, spec):
+        with pytest.raises(DomainError, match="float range"):
+            short_interval_delta(system, 10**400, 10**399)
 
 
 def test_each_census_call_walks_once(monkeypatch):
