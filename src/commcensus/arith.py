@@ -30,6 +30,7 @@ __all__ = [
     "pell_fundamental",
     "norm_one_fundamental",
     "prime_segments",
+    "prime_count",
     "sieve_segment",
     "is_square",
 ]
@@ -384,10 +385,10 @@ def _sieve_base(hi: int, modulus: int) -> tuple[np.ndarray, np.ndarray]:
     return primes, inv
 
 
-def sieve_segment(
+def _sieve_mask(
     lo: int, hi: int, base: tuple[np.ndarray, np.ndarray], modulus: int = 1, residue: int = 0
-) -> np.ndarray:
-    """Primes p in [lo, hi] with p = residue (mod modulus), ascending, for 2 <= lo <= hi.
+) -> tuple[int, np.ndarray]:
+    """One pass over [lo, hi]: (k_lo, mask), mask[i] set when residue + modulus*(k_lo + i) is prime.
 
     Sieves one mask over n = residue + modulus*k. residue is coprime to
     modulus, and base holds every prime p <= sqrt(hi) not dividing modulus
@@ -403,6 +404,7 @@ def sieve_segment(
     entries over the large primes, width * ln(ln(hi) / ln(width)): 2 MB for
     a 2**19-cell pass at hi = 10**9 and 5 MB just below 2**62. (int32
     indices would not save memory: numpy copies them to int64 to scatter.)
+    It is freed on return, so only the mask outlives the pass.
     """
     k_lo = -((residue - lo) // modulus)
     width = max((hi - residue) // modulus - k_lo + 1, 0)
@@ -424,11 +426,46 @@ def sieve_segment(
     lasts = offsets + primes * (counts - 1)
     steps[np.cumsum(counts) - counts] = offsets - np.concatenate(([0], lasts[:-1]))
     mask[np.cumsum(steps, out=steps)] = False
-    # freed before the block is made, which may then take its place: blocks that a
-    # caller keeps pass after pass pack without holes (a pool of 10.6 M primes,
-    # trace 4 at V = 3.8e8, then peaks 13 MB lower in RSS)
-    del steps
-    return residue + modulus * (np.nonzero(mask)[0] + k_lo)
+    return k_lo, mask
+
+
+def sieve_segment(
+    lo: int, hi: int, base: tuple[np.ndarray, np.ndarray], modulus: int = 1, residue: int = 0
+) -> np.ndarray:
+    """Primes p in [lo, hi] with p = residue (mod modulus), ascending, for 2 <= lo <= hi.
+
+    The primes read off one _sieve_mask pass. Its index array is freed
+    before the block is made, which may then take its place: blocks that a
+    caller keeps pass after pass pack without holes (a pool of 10.6 M
+    primes, trace 4 at V = 3.8e8, then peaks 13 MB lower in RSS).
+    """
+    k_lo, mask = _sieve_mask(lo, hi, base, modulus, residue)
+    return residue + modulus * (np.flatnonzero(mask) + k_lo)
+
+
+def _check_progressions(lo: int, hi: int, modulus: int, residues: Iterable[int]) -> list[int]:
+    """The residues, sorted, once [lo, hi] and the progressions pass the sieve's checks."""
+    if lo < 2 or hi < lo:
+        raise DomainError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
+    if hi >= 2**62:
+        raise DomainError(f"need hi < 2**62, got {hi}")
+    residues = sorted(residues)
+    if modulus < 1 or not residues or len(set(residues)) != len(residues):
+        raise DomainError(f"need modulus >= 1 and distinct residues, got {modulus}, {residues}")
+    if not all(0 <= r < modulus and math.gcd(r, modulus) == 1 for r in residues):
+        raise DomainError(f"residues must be units mod {modulus}, got {residues}")
+    return residues
+
+
+def _passes(lo: int, hi: int, modulus: int, residues: list[int], sieve) -> Iterator:
+    """sieve(start, end, base, modulus, r) for each pass: stretch by stretch, residue by residue."""
+    base = _sieve_base(hi, modulus)
+    start = lo
+    while start <= hi:
+        end = min(start + modulus * _SEGMENT - 1, hi)
+        for r in residues:
+            yield sieve(start, end, base, modulus, r)
+        start = end + 1
 
 
 def prime_segments(
@@ -443,31 +480,24 @@ def prime_segments(
     only for a single residue; the plain sieve is modulus 1, residue 0. The
     base primes up to sqrt(hi) are sieved once. Within a pass the base
     primes up to sqrt(2**19) cross out by slices and the larger ones by one
-    scatter of an index array (see sieve_segment), so memory stays
+    scatter of an index array (see _sieve_mask), so memory stays
     O(sqrt(hi) + 2**19) no matter how wide the range is; the index array
     is transient and under 5 MB. Arguments are validated eagerly, before
     iteration and before anything is allocated: hi must be below 2**62,
     where the int64 products p**2 and the sieved values stop being exact,
     and the residues must be distinct, in [0, modulus) and coprime to
-    modulus.
+    modulus. prime_count counts the same passes off their masks.
     """
-    if lo < 2 or hi < lo:
-        raise DomainError(f"need 2 <= lo <= hi, got ({lo}, {hi})")
-    if hi >= 2**62:
-        raise DomainError(f"need hi < 2**62, got {hi}")
-    residues = sorted(residues)
-    if modulus < 1 or not residues or len(set(residues)) != len(residues):
-        raise DomainError(f"need modulus >= 1 and distinct residues, got {modulus}, {residues}")
-    if not all(0 <= r < modulus and math.gcd(r, modulus) == 1 for r in residues):
-        raise DomainError(f"residues must be units mod {modulus}, got {residues}")
+    return _passes(lo, hi, modulus, _check_progressions(lo, hi, modulus, residues), sieve_segment)
 
-    def gen() -> Iterator[np.ndarray]:
-        base = _sieve_base(hi, modulus)
-        start = lo
-        while start <= hi:
-            end = min(start + modulus * _SEGMENT - 1, hi)
-            for r in residues:
-                yield sieve_segment(start, end, base, modulus, r)
-            start = end + 1
 
-    return gen()
+def prime_count(lo: int, hi: int, modulus: int = 1, residues: Iterable[int] = (0,)) -> int:
+    """The number of primes prime_segments(lo, hi, modulus, residues) yields.
+
+    The same passes, each counted off its mask: no prime array is built, so
+    a pass holds its 2**19-cell mask and the transient index array only.
+    Arguments are validated as prime_segments validates them.
+    """
+    residues = _check_progressions(lo, hi, modulus, residues)
+    passes = _passes(lo, hi, modulus, residues, _sieve_mask)
+    return sum(int(np.count_nonzero(mask)) for _, mask in passes)

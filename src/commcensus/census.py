@@ -21,7 +21,9 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from . import gf2
-from .arith import _SEGMENT, _check_integer, character_table, factorize, kronecker, prime_segments
+from .arith import (
+    _SEGMENT, _check_integer, character_table, factorize, kronecker, prime_count, prime_segments,
+)
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
 from .quaternion import AlgebraClass, RamSet, _trusted_classes
@@ -54,7 +56,9 @@ CLASS_BUDGET = 1 << 21
 # Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half the
 # primes), stays in its sieved blocks, never merged, so a count peaks near 0.3 bytes of
 # RSS per number sieved (commcensus interval --traces 4 --V 3.8e8 --W 3.8e7: 399,160,597
-# numbers, 121 MB, the interpreter included), so under 130 MB at the budget.
+# numbers, 121 MB, the interpreter included), so under 130 MB at the budget. A Chebotarev
+# count holds one pass's mask, never its primes (--radicands 3,17 --X 1e9 --Y 399999999:
+# 34 MB).
 SIEVE_BUDGET = 4 * 10**8
 
 # Default bound on construct_family's generating primes and fourth-field radicand.
@@ -237,19 +241,18 @@ def _inert_mask(ps: np.ndarray, chars) -> np.ndarray:
     return keep
 
 
-def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
-    """Blocks of the primes in [lo, hi] inert in every field, each ascending.
+def _inert_route(system: _System, lo: int, hi: int) -> tuple[int, list[int], list | None]:
+    """How to sieve [lo, hi] for the primes inert in every field of an infinite system.
 
     Those primes lie in the unit classes mod M = lcm(discs) at which every
-    character is -1: R = phi(M)/2**rank of them for an infinite nonsplit
-    set, none for a finite one. Sieving only those progressions takes R
-    passes per M * 2**19 numbers; the plain sieve and a character filter
-    take one pass per 2**19. Route to whichever makes fewer passes,
-    deciding before anything M long exists. Past SIEVE_BUDGET numbers it
-    raises SearchExhaustedError before sieving any.
+    character is -1: R = phi(M)/2**rank of them. Sieving only those
+    progressions takes R passes per M * 2**19 numbers; the plain sieve and a
+    character filter take one pass per 2**19. Route to whichever makes fewer
+    passes, deciding before anything M long exists. Returns (modulus,
+    residues, chars): (M, the inert classes, None), whose every sieved prime
+    is inert, or (1, [0], chars), whose primes _inert_mask(ps, chars) filters.
+    Past SIEVE_BUDGET numbers it raises SearchExhaustedError, before any sieving.
     """
-    if system.finite:
-        return
     span = hi - lo + 1
     if span > SIEVE_BUDGET:
         raise SearchExhaustedError(
@@ -268,11 +271,29 @@ def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
     table_max = min(1 << 20, span) if plain else 1 << 20
     chars = [(disc, character_table(disc) if disc <= table_max else None) for disc in discs]
     if plain:
-        for ps in prime_segments(lo, hi):
-            yield ps[_inert_mask(ps, chars)]
+        return 1, [0], chars
+    return modulus, np.flatnonzero(_inert_mask(np.arange(modulus), chars)).tolist(), None
+
+
+def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """Blocks of the primes in [lo, hi] inert in every field, each ascending (see _inert_route)."""
+    if system.finite:
         return
-    residues = np.flatnonzero(_inert_mask(np.arange(modulus), chars)).tolist()
-    yield from prime_segments(lo, hi, modulus, residues)
+    modulus, residues, chars = _inert_route(system, lo, hi)
+    blocks = prime_segments(lo, hi, modulus, residues)
+    if chars is None:
+        yield from blocks
+    else:
+        for ps in blocks:
+            yield ps[_inert_mask(ps, chars)]
+
+
+def _inert_count(system: _System, lo: int, hi: int) -> int:
+    """How many primes _inert_blocks yields for an infinite system; progressions list none."""
+    modulus, residues, chars = _inert_route(system, lo, hi)
+    if chars is None:
+        return prime_count(lo, hi, modulus, residues)
+    return sum(int(np.count_nonzero(_inert_mask(ps, chars))) for ps in prime_segments(lo, hi))
 
 
 def _nonsplit_pool(system: _System, pmax: int) -> list[np.ndarray]:
@@ -672,6 +693,9 @@ def verify_chebotarev_interval(fields, x: int, y: int) -> ChebotarevReport:
 
     Requires independent discriminant characters (a dependent or finite
     system has the wrong density and is rejected) and X >= 1000, 0 < Y <= X.
+    The count takes _inert_route's route: on the progressions each pass is
+    counted off its sieve mask and no prime array is built; on the plain
+    sieve each block is counted through the character filter.
     """
     x, y = _check_integer(x, "X"), _check_integer(y, "Y")
     if x < 1000:
@@ -684,7 +708,7 @@ def verify_chebotarev_interval(fields, x: int, y: int) -> ChebotarevReport:
         raise DomainError("nonsplit set is finite for these fields; no inert density to verify")
     if system.rank != s:
         raise DomainError("discriminant characters are dependent; the inert density is not 1/2**s")
-    actual = sum(len(ps) for ps in _inert_blocks(system, x, x + y))
+    actual = _inert_count(system, x, x + y)
     predicted = y / (2**s * math.log(x))
     return ChebotarevReport(
         fields=system.fields,

@@ -18,6 +18,7 @@ from commcensus.arith import (
     kronecker,
     norm_one_fundamental,
     pell_fundamental,
+    prime_count,
     prime_segments,
     sieve_segment,
     squarefree_part,
@@ -301,10 +302,11 @@ def test_primes_in_range_edges():
     assert _primes(10, 20) == [11, 13, 17, 19]
     assert _primes(2, 2) == [2]
     assert _primes(24, 28) == []
-    with pytest.raises(DomainError):
-        prime_segments(1, 10)  # validated before the first block is asked for
-    with pytest.raises(DomainError):
-        prime_segments(50, 40)
+    for entry in (prime_segments, prime_count):
+        with pytest.raises(DomainError):
+            entry(1, 10)  # validated before the first block is asked for
+        with pytest.raises(DomainError):
+            entry(50, 40)
 
 
 def test_sieve_segment_matches_unsegmented():
@@ -327,10 +329,12 @@ def test_sieve_segment_matches_unsegmented():
 def test_prime_segments_progressions_match_sieve(modulus):
     """Every unit class mod modulus, and subsets of them, against one flat sieve.
 
-    Each block ascends, and a single residue's blocks ascend throughout.
-    lo = 2 puts base primes inside the progressions; 1_000_003 and
-    4_999_999 are prime; [2, 5e6] mod 8 is 625_000 numbers per class, more
-    than one 2**19 block.
+    Each block ascends, and a single residue's blocks ascend throughout;
+    prime_count counts what the blocks hold. lo = 2 puts base primes inside
+    the progressions; 1_000_003 and 4_999_999 are prime; [2, 5e6] mod 8 is
+    625_000 numbers per class, more than one 2**19 block, and [1e8, 3e8]
+    mod 204 spans two stretches of 204 * 2**19 numbers (5 and 7 are two of
+    the classes inert in Q(sqrt 3) and Q(sqrt 17)).
     """
     whole = oracles.sieve_upto(5_000_000)
     units = [r for r in range(modulus) if math.gcd(r, modulus) == 1]
@@ -345,14 +349,20 @@ def test_prime_segments_progressions_match_sieve(modulus):
             if len(residues) == 1:
                 assert got.tolist() == want.tolist()
             assert all(b.dtype == np.int64 and np.all(b[:-1] < b[1:]) for b in blocks)
+            assert prime_count(lo, hi, modulus, residues) == len(got) == len(want)
     if modulus == 8:
         assert len(list(prime_segments(2, 5_000_000, 8, [1]))) == 2
+    if modulus == 204:
+        blocks = list(prime_segments(10**8, 3 * 10**8, 204, [5, 7]))
+        assert len(blocks) == 4
+        assert prime_count(10**8, 3 * 10**8, 204, [5, 7]) == sum(map(len, blocks))
 
 
 def test_prime_segments_rejects_bad_residues():
     for modulus, residues in [(12, (2,)), (12, (13,)), (12, (-1,)), (8, ()), (8, (1, 1)), (0, (0,))]:
-        with pytest.raises(DomainError):
-            prime_segments(2, 100, modulus, residues)
+        for entry in (prime_segments, prime_count):
+            with pytest.raises(DomainError):
+                entry(2, 100, modulus, residues)
 
 
 @pytest.mark.parametrize("modulus", [1, 8, 12, 84, 204])
@@ -415,7 +425,7 @@ def test_sieve_segment_full_pass_near_1e9():
 
 
 def test_prime_segments_rejects_hi_past_int64(monkeypatch):
-    """hi >= 2**62 fails the eager check, before any base sieve is built."""
+    """hi >= 2**62 fails the eager check, listing or counting, before any base sieve is built."""
 
     def no_base(hi, modulus):
         raise AssertionError("the base sieve must not be built")
@@ -423,8 +433,9 @@ def test_prime_segments_rejects_hi_past_int64(monkeypatch):
     monkeypatch.setattr(arith, "_sieve_base", no_base)
     cases = [(2, 2**62, 1, (0,)), (2**62, 2**62 + 5, 8, (1,)), (2, 2**64, 1, (0,))]
     for lo, hi, modulus, residues in cases:
-        with pytest.raises(DomainError, match="2\\*\\*62"):
-            prime_segments(lo, hi, modulus, residues)
+        for entry in (prime_segments, prime_count):
+            with pytest.raises(DomainError, match="2\\*\\*62"):
+                entry(lo, hi, modulus, residues)
     prime_segments(2**62 - 10, 2**62 - 1)  # accepted; never iterated
     with pytest.raises(DomainError, match="2\\*\\*62"):
         verify_chebotarev_interval((field_from_d(3), field_from_d(17)), 2**62, 1)

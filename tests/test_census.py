@@ -462,15 +462,15 @@ def test_nonsplit_pool_past_table_bound():
 
 
 def _sieve_moduli(monkeypatch) -> list[int]:
-    """Record the modulus of every arith.sieve_segment pass from here on."""
+    """Record the modulus of every sieve pass from here on, listed or counted."""
     moduli = []
-    sieve_segment = arith.sieve_segment
+    sieve_mask = arith._sieve_mask
 
     def counting(lo, hi, base, modulus=1, residue=0):
         moduli.append(modulus)
-        return sieve_segment(lo, hi, base, modulus, residue)
+        return sieve_mask(lo, hi, base, modulus, residue)
 
-    monkeypatch.setattr(arith, "sieve_segment", counting)
+    monkeypatch.setattr(arith, "_sieve_mask", counting)
     return moduli
 
 
@@ -607,6 +607,7 @@ def test_sieve_budget_is_checked_before_sieving(monkeypatch):
         raise AssertionError("sieved past the budget")
 
     monkeypatch.setattr(census, "prime_segments", no_sieve)
+    monkeypatch.setattr(census, "prime_count", no_sieve)
     monkeypatch.setattr(census, "SIEVE_BUDGET", top - 1)
     for call in (
         lambda: verify_chebotarev_interval(pair, 10**4, top - 1),
@@ -1131,8 +1132,14 @@ def test_chebotarev_sieve_passes_at_benchmark_inputs(monkeypatch):
     """(3, 17) on [1e9, 1.03e9]: 16 inert classes mod 204, one pass each.
 
     The plain sieve takes ceil(3e7 / 2**19) = 58 passes over every number.
+    Each pass is counted off its mask: none is turned into primes.
     """
     moduli = _sieve_moduli(monkeypatch)
+
+    def no_listing(*args):
+        raise AssertionError("a counted pass was listed")
+
+    monkeypatch.setattr(arith, "sieve_segment", no_listing)
     rep = verify_chebotarev_interval((field_from_d(3), field_from_d(17)), 10**9, 3 * 10**7)
     assert rep.actual == 361_774
     assert moduli == [204] * 16

@@ -494,6 +494,7 @@ def test_sieve_budget_exit_code(capsys, monkeypatch):
         raise AssertionError("sieved past the budget")
 
     monkeypatch.setattr(census, "prime_segments", no_sieve)
+    monkeypatch.setattr(census, "prime_count", no_sieve)
     for argv in (
         ("pi", "--traces", "4", "--volume", "5e8"),
         ("pi", "--traces", "4,5", "--volume", "1e30"),
