@@ -1,11 +1,15 @@
 """Command line interface.
 
-Every invocation but --help prints exactly one structured document to stdout
-(JSON by default, sorted keys, floats at 12 significant digits), a usage
-error included. --format csv prints a key,value row per result key and per
-warning, then an empty line and the class table, if any. Logs go to stderr, controlled
-by the COMMCENSUS_LOG environment variable. Exit codes: 0 success, 2 domain
-error or usage error, 3 search exhaustion, 1 internal failure.
+Every invocation but --help prints exactly one document to stdout, a usage
+error included: {command, inputs, result, warnings} on success and
+{command, error} on failure, floats at 12 significant digits. JSON is the
+default, with sorted keys. --format csv prints the same document as a
+path,value header and then one row per leaf: dict keys sorted, list items by
+index, joined by dots (result.classes.1.ram.0); an empty list or dict is one
+leaf; a string is its own cell and any other leaf its JSON text. An error
+document is always JSON. Logs go to stderr, at the level named by the
+COMMCENSUS_LOG environment variable (default warning). Exit codes: 0 success,
+2 domain error or usage error, 3 search exhaustion, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import json
 import logging
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from functools import cache
 from typing import Any
@@ -43,7 +47,7 @@ MAX_CLASS_ROWS = 200
 
 @dataclass
 class Report:
-    """The one document an invocation prints."""
+    """What a command found: main prints it as the invocation's one document."""
 
     command: str
     inputs: dict[str, Any]
@@ -61,41 +65,28 @@ def _jsonable(obj):
     return obj
 
 
-def _emit(report: Report, fmt: str) -> None:
-    doc = {
-        "command": report.command,
-        "inputs": _jsonable(report.inputs),
-        "result": _jsonable(report.result),
-        "warnings": report.warnings,
-    }
+def _leaves(node, path: str = ""):
+    """(path, value) of each leaf of a JSON document: dict keys sorted, list items
+    by index, joined by dots; an empty dict or list is a leaf."""
+    if not isinstance(node, (dict, list)) or not node:
+        yield path, node
+        return
+    for key, value in sorted(node.items()) if isinstance(node, dict) else enumerate(node):
+        yield from _leaves(value, f"{path}.{key}" if path else str(key))
+
+
+def _emit(doc: dict, fmt: str) -> None:
+    """Print a document as JSON, or as csv: a path,value row per leaf, a string
+    leaf as its text and any other leaf as its JSON text."""
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return
-    # csv: a key,value row per result key but a nonempty class table and one per
-    # warning, then an empty line and the table
     writer = csv.writer(sys.stdout, lineterminator="\n")
-    result = doc["result"]
-    table = result.get("classes") or []
-    writer.writerow(["key", "value"])
-    for key in sorted(result):
-        if key != "classes" or not table:
-            writer.writerow([key, _csv_cell(result[key])])
-    writer.writerows(["warnings", text] for text in report.warnings)
-    if table:
-        keys = sorted(table[0])
-        writer.writerows([[], keys, *([_csv_cell(row[k]) for k in keys] for row in table)])
-
-
-def _csv_cell(value):
-    """A float at 12 significant digits, a flat list space-joined, and any other list
-    or dict as canonical JSON, which json.loads reads back as the json document's value."""
-    if isinstance(value, float):
-        return f"{value:.12g}"
-    if isinstance(value, list) and not any(isinstance(v, (dict, list)) for v in value):
-        return " ".join(map(str, value))
-    if isinstance(value, (dict, list)):
-        return json.dumps(value, sort_keys=True, separators=(",", ":"))
-    return value
+    writer.writerow(["path", "value"])
+    writer.writerows(
+        (path, value if isinstance(value, str) else json.dumps(value))
+        for path, value in _leaves(doc)
+    )
 
 
 def _field_doc(fld: QuadField) -> dict:
@@ -119,17 +110,16 @@ def _verdict_doc(verdict) -> dict:
     return doc
 
 
+def _coarea_doc(coarea) -> dict:
+    return {"coarea_exact": str(coarea), "coarea": coarea.value}
+
+
 def _class_table(classes, warnings: list[str]) -> list[dict]:
     """Rows of the first MAX_CLASS_ROWS classes; a warning says when rows were left off."""
     if len(classes) > MAX_CLASS_ROWS:
         warnings.append(f"class table truncated to {MAX_CLASS_ROWS} of {len(classes)} rows")
     return [
-        {
-            "ram": list(cls.ram.finite_primes),
-            "coarea_exact": str(cls.coarea),
-            "coarea": cls.coarea.value,
-            "is_division": cls.is_division,
-        }
+        {"ram": list(cls.ram.finite_primes), **_coarea_doc(cls.coarea), "is_division": cls.is_division}
         for cls in classes[:MAX_CLASS_ROWS]
     ]
 
@@ -260,8 +250,7 @@ def cmd_volume(args) -> Report:
             raise DomainError(f"--ramified gives the coarea over Q: no {', '.join(given)}")
         primes = _parse_list(args, "ramified")
         coarea = coarea_rational(RamSet(tuple(primes)))
-        result = {"ram": primes, "coarea_exact": str(coarea), "coarea": coarea.value}
-        return Report("volume", {"ramified": primes}, result)
+        return Report("volume", {"ramified": primes}, {"ram": primes, **_coarea_doc(coarea)})
     degree = 2 if args.degree is None else args.degree
     if args.disc is not None:
         if args.zeta_minus1 is not None or degree != 2:
@@ -280,8 +269,7 @@ def cmd_volume(args) -> Report:
     norms = _parse_list(args, "norms")
     inputs = {"degree": degree, "disc": args.disc, "zeta_minus1": str(zeta), "norms": norms}
     coarea = coarea_general(degree, zeta, norms)
-    result = {"coarea_exact": str(coarea), "coarea": coarea.value, "zeta_minus1": str(zeta)}
-    return Report("volume", inputs, result)
+    return Report("volume", inputs, {**_coarea_doc(coarea), "zeta_minus1": str(zeta)})
 
 
 def cmd_chebotarev(args) -> Report:
@@ -422,26 +410,28 @@ def _error_doc(command: str | None, exc: Exception) -> dict:
         if exc.index is not None:
             doc["error"]["index"] = exc.index
         if exc.value is not None:
-            doc["error"]["value"] = _jsonable(exc.value)
+            doc["error"]["value"] = exc.value
     if isinstance(exc, InfiniteCensusError):
-        doc["error"]["verdict"] = _jsonable(_verdict_doc(exc.verdict))
+        doc["error"]["verdict"] = _verdict_doc(exc.verdict)
     if isinstance(exc, SearchExhaustedError) and exc.bound is not None:
         doc["error"]["bound"] = exc.bound
     return doc
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("COMMCENSUS_LOG", "warning").upper()
+    # getLevelName maps a registered level name to its number and any other text
+    # to a string; logging.getLevelNamesMapping is Python 3.11+
+    level = logging.getLevelName(os.environ.get("COMMCENSUS_LOG", "warning").upper())
     logging.basicConfig(
         stream=sys.stderr,
-        level=getattr(logging, level, logging.WARNING),
+        level=level if isinstance(level, int) else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     # the subcommand is recorded in args before its flags are parsed
     args = argparse.Namespace()
     try:
         build_parser().parse_args(argv, args)
-        report = args.func(args)
+        code, doc, fmt = 0, asdict(args.func(args)), args.format
     except SearchExhaustedError as exc:
         log.error("search exhausted: %s", exc)
         code, error = 3, exc
@@ -451,11 +441,10 @@ def main(argv=None) -> int:
     except Exception as exc:  # pragma: no cover - internal failure path
         log.exception("internal error")
         code, error = 1, exc
-    else:
-        _emit(report, args.format)
-        return 0
-    command = getattr(args, "command", None)
-    sys.stdout.write(json.dumps(_error_doc(command, error), sort_keys=True, indent=2) + "\n")
+    if code:
+        # an error document is JSON: a usage error may come before --format is read
+        doc, fmt = _error_doc(getattr(args, "command", None), error), "json"
+    _emit(_jsonable(doc), fmt)
     return code
 
 

@@ -5,6 +5,10 @@ import csv
 import io
 import json
 import math
+import os
+import pathlib
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -185,23 +189,6 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
-def test_csv_class_table(capsys):
-    """The counts and the verdict come first as key,value rows, then an empty line
-    and the class table."""
-    code, out = run(capsys, "count", "--radicands", "3,17,51", "--format", "csv")
-    assert code == 0
-    head, table = out.split("\n\n")
-    rows = list(csv.reader(io.StringIO(head)))
-    assert rows[0] == ["key", "value"]
-    assert ["count_total", "2"] in rows and ["nonsplit_primes", "3 17"] in rows
-    assert ["verdict", '{"finite":true,"square_witness_indices":[0,1,2]}'] in rows
-    assert all(key != "warnings" for key, _ in rows)
-    lines = table.strip().split("\n")
-    assert lines[0] == "coarea,coarea_exact,is_division,ram"
-    assert len(lines) == 3
-    assert "32*pi/3" in lines[2]
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -213,35 +200,27 @@ def test_csv_class_table(capsys):
     ],
 )
 def test_csv_cells_read_back_as_the_json_document(capsys, argv):
-    """A dict or a nested list is one canonical JSON cell (sorted keys, no spaces)
-    that json.loads reads back as the json document's value; a flat list is
-    space-joined, and a scalar is its text."""
+    """Each csv path, split at its dots, looks up the json document's value, which
+    is the cell as a string or as JSON text; the rows are all of its leaves."""
     code, doc = run_json(capsys, *argv)
     assert code == 0
     code, out = run(capsys, *argv, "--format", "csv")
     assert code == 0
-    head, _, table = out.partition("\n\n")
-    rows = list(csv.reader(io.StringIO(head)))[1:]
-    table = list(csv.DictReader(io.StringIO(table)))
-    cells = [(doc["result"][key], cell) for key, cell in rows if key != "warnings"]
-    cells += [(want[k], row[k]) for want, row in zip(doc["result"].get("classes", []), table) for k in row]
-    assert len(table) == len(doc["result"].get("classes") or [])
-    for value, cell in cells:
-        if isinstance(value, list) and not any(isinstance(v, (dict, list)) for v in value):
-            assert cell.split() == [str(v) for v in value], (argv, cell)
-        elif isinstance(value, (dict, list)):
-            assert json.loads(cell) == value, (argv, cell)
-            assert cell == json.dumps(value, sort_keys=True, separators=(",", ":")), (argv, cell)
-        else:
-            assert cell == (f"{value:.12g}" if isinstance(value, float) else str(value)), (argv, cell)
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["path", "value"]
+    for path, cell in rows[1:]:
+        value = doc
+        for part in path.split("."):
+            value = value[int(part)] if isinstance(value, list) else value[part]
+        assert value in ([], {}) or not isinstance(value, (dict, list)), (argv, path)
+        assert cell == (value if isinstance(value, str) else json.dumps(value)), (argv, path)
 
+    def count(value):
+        if isinstance(value, (dict, list)) and value:
+            return sum(map(count, value.values() if isinstance(value, dict) else value))
+        return 1
 
-def test_csv_key_value_fallback(capsys):
-    code, out = run(capsys, "volume", "--ramified", "3,17", "--format", "csv")
-    assert code == 0
-    lines = out.strip().split("\n")
-    assert lines[0] == "key,value"
-    assert any(line.startswith("coarea_exact,") for line in lines)
+    assert len(rows) - 1 == len({path for path, _ in rows[1:]}) == count(doc), argv
 
 
 def test_domain_error_exit_code(capsys):
@@ -506,22 +485,18 @@ def test_sieve_budget_exit_code(capsys, monkeypatch):
         assert doc["error"]["bound"] == SIEVE_BUDGET
 
 
-def _table_rows(capsys, argv) -> tuple[dict, list[list[str]], list[str]]:
-    """The json document of a command, the key,value rows of its csv output and
-    the lines of the class table after them."""
-    code, doc = run_json(capsys, *argv)
-    assert code == 0
+def _csv_rows(capsys, argv) -> list[list[str]]:
+    """The path,value rows of a command's csv output, header dropped."""
     code, out = run(capsys, *argv, "--format", "csv")
     assert code == 0
-    head, table = out.split("\n\n")
-    rows = list(csv.reader(io.StringIO(head)))
-    assert rows[0] == ["key", "value"]
-    return doc, rows[1:], table.strip().split("\n")
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == ["path", "value"]
+    return rows[1:]
 
 
 def test_class_table_truncation(capsys):
     """count and pi print the first MAX_CLASS_ROWS classes and warn; the counts stay
-    whole, and csv prints them and the warning before the table."""
+    whole, and csv prints the warning as the warnings.0 row."""
     def family_radicands(n):  # 2**n classes
         return ",".join(str(f.d) for f in construct_family(n).fields)
 
@@ -529,23 +504,25 @@ def test_class_table_truncation(capsys):
         (("count", "--radicands", family_radicands(8)), "count_total", 256),
         (("pi", "--traces", "4", "--volume", "1e5"), "pi", 16_720),
     ):
-        doc, pairs, lines = _table_rows(capsys, argv)
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
         rows = doc["result"]["classes"]
         assert doc["result"][key] == total
         assert len(rows) == MAX_CLASS_ROWS == 200
         warning = f"class table truncated to 200 of {total} rows"
         assert doc["warnings"] == [warning]
-        assert [key, str(total)] in pairs
-        assert pairs[-1] == ["warnings", warning]
-        assert lines[0] == "coarea,coarea_exact,is_division,ram"
-        assert len(lines) == 1 + MAX_CLASS_ROWS
-        assert lines[-1].split(",")[1] == rows[-1]["coarea_exact"]
-    doc, pairs, lines = _table_rows(capsys, ("count", "--radicands", family_radicands(7)))
+        pairs = _csv_rows(capsys, argv)
+        assert [f"result.{key}", str(total)] in pairs
+        assert ["result.classes.199.coarea_exact", rows[-1]["coarea_exact"]] in pairs
+        assert pairs[-1] == ["warnings.0", warning]
+    argv = ("count", "--radicands", family_radicands(7))
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
     assert len(doc["result"]["classes"]) == doc["result"]["count_total"] == 128
     assert doc["warnings"] == []
-    assert ["count_total", "128"] in pairs
-    assert all(key != "warnings" for key, _ in pairs)
-    assert len(lines) == 1 + 128
+    pairs = _csv_rows(capsys, argv)
+    assert ["result.count_total", "128"] in pairs
+    assert pairs[-1] == ["warnings", "[]"]
 
 
 def test_argparse_rejects_missing_required(capsys):
@@ -579,6 +556,19 @@ def test_usage_errors_are_documents(capsys):
     assert capsys.readouterr().out.startswith("usage: commcensus pi")
 
 
+def test_errors_stay_json_under_csv(capsys):
+    """An error document is JSON whatever --format says, a usage error read before
+    --format included."""
+    for argv in (
+        ("pi", "--traces", "4", "--volume", "abc", "--format", "csv"),
+        ("pi", "--format", "csv", "--traces", "4", "--volume", "abc"),
+        ("count", "--radicands", "3,4", "--format", "csv"),
+    ):
+        code, out = run(capsys, *argv)
+        doc = json.loads(out, parse_constant=_reject_constant)
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
+
+
 def test_parser_is_built_once_and_left_as_it_was(capsys):
     """main reuses one parser; after good and bad invocations it parses as a new one does."""
     assert cli.build_parser() is cli.build_parser()
@@ -600,3 +590,17 @@ def test_domain_error_logged_not_printed(capsys, caplog):
     assert code == 2
     json.loads(capsys.readouterr().out)  # stdout stays a clean document
     assert any("domain error" in rec.message for rec in caplog.records)
+
+
+def test_log_level_must_be_a_level_name():
+    """COMMCENSUS_LOG names a logging level; any other attribute of logging, like
+    basic_format, falls back to warning instead of failing in basicConfig."""
+    env = dict(
+        os.environ,
+        COMMCENSUS_LOG="basic_format",
+        PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]),
+    )
+    argv = [sys.executable, "-m", "commcensus.cli", "volume", "--ramified", "3,17"]
+    proc = subprocess.run(argv, env=env, capture_output=True, text=True, stdin=subprocess.DEVNULL)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout, parse_constant=_reject_constant)["result"]["coarea_exact"] == "32*pi/3"

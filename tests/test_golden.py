@@ -2,6 +2,8 @@
 
 tests/golden/<case>.<format>.out holds "exit <code>" on its first line and
 the command's stdout after it, for every case below in json and in csv.
+A success's csv file is its json document's leaves as path,value rows; an
+error's csv file is its json file, since an error document is always JSON.
 A changed byte is either a contract change or a defect. A contract change
 regenerates the files with
 
@@ -12,7 +14,9 @@ and names each file that changed, and why, in CHANGES.md.
 from __future__ import annotations
 
 import contextlib
+import csv
 import io
+import json
 import pathlib
 
 import pytest
@@ -85,6 +89,33 @@ def _run(name: str, fmt: str) -> str:
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_cli_output_matches_golden(name, fmt):
     assert _run(name, fmt) == _path(name, fmt).read_bytes().decode()
+
+
+def _flatten(value, path: str = "") -> list[list[str]]:
+    """The [path, cell] rows of a JSON value: dict keys sorted, list items by index,
+    joined by dots; an empty dict or list is one row; a string cell is the string
+    and any other cell the value's JSON text."""
+    prefix = f"{path}." if path else ""
+    if isinstance(value, dict) and value:
+        return [row for key in sorted(value) for row in _flatten(value[key], prefix + key)]
+    if isinstance(value, list) and value:
+        return [row for i, item in enumerate(value) for row in _flatten(item, f"{prefix}{i}")]
+    return [[path, value if isinstance(value, str) else json.dumps(value)]]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_csv_golden_is_the_json_golden_flattened(name):
+    json_text = _path(name, "json").read_text()
+    csv_text = _path(name, "csv").read_text()
+    status, _, document = json_text.partition("\n")
+    if status != "exit 0":
+        assert csv_text == json_text
+        return
+    status_csv, _, table = csv_text.partition("\n")
+    rows = list(csv.reader(io.StringIO(table)))
+    assert status_csv == status
+    assert rows == [["path", "value"], *_flatten(json.loads(document))]
+    assert len({path for path, _ in rows}) == len(rows)
 
 
 def test_golden_files_are_the_cases():
