@@ -6,16 +6,20 @@ that split in none of the fields. Whether that set is finite is a GF(2)
 linear-algebra question on discriminant characters; when finite with m
 nonsplit primes there are exactly 2**(m-1) classes (even subsets), all but
 the empty one division algebras.
+
+A listing is a ClassTable: the pool's primes and the sorted index rows of the
+even sets. It holds no class object; each class is built when it is read.
 """
 
 from __future__ import annotations
 
 import functools
-import gc
 import math
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, zip_longest
+from itertools import zip_longest
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -26,12 +30,13 @@ from .arith import (
 )
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
-from .quaternion import AlgebraClass, RamSet, _trusted_classes
+from .quaternion import AlgebraClass, RamSet, _unchecked_class
 from .spectra import SpectrumSpec
 
 __all__ = [
     "FinitenessVerdict",
     "CensusReport",
+    "ClassTable",
     "IntervalReport",
     "FamilyResult",
     "SelectivityVerdict",
@@ -47,10 +52,11 @@ __all__ = [
     "verify_chebotarev_interval",
 ]
 
-# Most classes a listing builds. A listing peaks near 210 to 310 bytes of RSS per
-# class, the longer sets costing more (pi_of_V, trace 4 at V = 1e7: 1,403,587 classes,
-# 299 MB; count_algebras on 20 nonsplit primes: 2**19 classes, 160 MB), so about
-# 0.5 GB at the budget.
+# Most classes a listing sorts. Its ClassTable holds an index row per class, so pi_of_V
+# peaks near 95 bytes of RSS per class (commcensus pi --traces 4 --volume 1.5e7: 2,078,722
+# classes, 225 MB, the interpreter included), under 300 MB at the budget. A finite census's
+# Python-int coareas and per-node tuples cost more (count on 22 nonsplit primes: 2**21
+# classes, 554 MB).
 CLASS_BUDGET = 1 << 21
 
 # Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half the
@@ -183,6 +189,42 @@ def _finite(system: _System) -> tuple[int, ...]:
     return tuple(_merged(_nonsplit_pool(system, system.ramified[-1])).tolist())
 
 
+class ClassTable(Sequence):
+    """A listing's classes by ascending coarea, read-only, each built when it is read.
+
+    Row i of rows holds the indices into primes of class i's ramified primes, ascending
+    and padded with -1. A slice is a table; == compares with any sequence of classes,
+    item by item, and hash is that of the tuple of the classes.
+    """
+
+    def __init__(self, primes: list[int], rows: np.ndarray):
+        self._primes = primes
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return ClassTable(self._primes, self._rows[index])
+        return self._build(self._rows[operator.index(index)])
+
+    def __iter__(self) -> Iterator[AlgebraClass]:
+        return map(self._build, self._rows)  # row by row: no list of every row's indices
+
+    def _build(self, row: np.ndarray) -> AlgebraClass:
+        primes = self._primes
+        return _unchecked_class(tuple([primes[j] for j in row.tolist() if j >= 0]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+
 @dataclass(frozen=True)
 class CensusReport:
     """Complete census over a field system with finite nonsplit set."""
@@ -190,7 +232,7 @@ class CensusReport:
     fields: tuple[QuadField, ...]
     verdict: FinitenessVerdict
     nonsplit: tuple[int, ...]
-    classes: tuple[AlgebraClass, ...]
+    classes: ClassTable
     count_total: int
 
     @property
@@ -217,14 +259,14 @@ def count_algebras(fields) -> CensusReport:
     count = 2 ** (len(s0) - 1) if s0 else 1
     _check_class_budget(count)
     fac = np.array(s0, dtype=object) - 1
-    classes = _classes(fac, _walk([fac], math.prod(fac)))
+    classes = _sorted_even_sets(fac, _walk([fac], math.prod(fac)))
     if len(classes) != count:
         raise RuntimeError("even-subset count mismatch")
     return CensusReport(
         fields=system.fields,
         verdict=_verdict(system),
         nonsplit=s0,
-        classes=tuple(classes),
+        classes=classes,
         count_total=len(classes),
     )
 
@@ -435,20 +477,21 @@ def _even_count(blocks: list[np.ndarray], walk: _Walk, cutoff: int) -> int:
     return int(cutoff >= 1) + int(_spans(blocks, walk, cutoff).sum())
 
 
-def _sorted_even_sets(fac: np.ndarray, walk: _Walk) -> list[tuple[int, ...]]:
+def _sorted_even_sets(fac: np.ndarray, walk: _Walk) -> ClassTable:
     """Every even set R of the primes f + 1 with prod(f) <= walk.top, ascending by (prod, R).
 
     fac is the merge of the blocks walked (_merged).
     Each node's children are its _spans at walk.top, and one lexsort orders them all:
     by prod, then by the indices of R, padded with -1 so that a prefix sorts first.
     Equal coareas are common (trace 4 at V = 3e5: 22,966 of 47,793 classes share one),
-    so prod alone, even stably sorted, is not the order. The key arrays are freed
-    before the tuples are built: each node's head tuple is joined to its children's
-    primes by C-level maps, and the tuples are permuted in one step.
+    so prod alone, even stably sorted, is not the order. The sorted index rows, the
+    empty set first, are the table, filled a column at a time once the per-child
+    arrays are freed, so no whole-table temporary exists. No class is built here.
     """
+    primes = (fac + 1).tolist()
     starts, prods, chosen = walk.starts, walk.prods, walk.chosen
     if not chosen:
-        return [()] if walk.top >= 1 else []
+        return ClassTable(primes, np.empty((int(walk.top >= 1), 0), np.int8))
     counts = _spans([fac], walk, walk.top)
     # the node and the last index of every child, nodes in walk order
     node = np.repeat(np.arange(len(chosen)), counts)
@@ -459,18 +502,11 @@ def _sorted_even_sets(fac: np.ndarray, walk: _Walk) -> list[tuple[int, ...]]:
     keys[:-1] = heads[:, node]
     keys[np.fromiter(map(len, chosen), np.intp, len(chosen))[node], np.arange(len(node))] = child
     order = np.lexsort((*keys[::-1], prods[node] * fac[child]))
-    del heads, keys, node, child
-    primes = (fac + 1).tolist()
-    prime = primes.__getitem__
-    found = np.fromiter(
-        chain.from_iterable(
-            map(tuple(map(prime, c)).__add__, zip(primes[s:e]))
-            for c, s, e in zip(chosen, starts.tolist(), (starts + counts).tolist())
-        ),
-        dtype=object,
-        count=len(order),
-    )
-    return [(), *found[order].tolist()]
+    del heads, node, child
+    rows = np.full((len(order) + 1, len(keys)), -1, keys.dtype)
+    for t, key in enumerate(keys):
+        rows[1:, t] = key[order]
+    return ClassTable(primes, rows)
 
 
 def _check_class_budget(count: int) -> None:
@@ -480,33 +516,15 @@ def _check_class_budget(count: int) -> None:
         )
 
 
-def _classes(fac: np.ndarray, walk: _Walk) -> list[AlgebraClass]:
-    """The classes of the walk's even sets, by ascending coarea.
-
-    fac ascends and each p was proven prime by the sieve or factorize: R needs no checks.
-    The sort and the build make a few collector-tracked objects per class and no cycle,
-    so the cyclic collector is paused for them, process-wide: its passes would rescan
-    the growing heap and free nothing. It is turned back on only if it was on at entry.
-    """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        sets = _sorted_even_sets(fac, walk)
-        del walk  # a caller that passes the only reference frees the node tuples here
-        return _trusted_classes(sets)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]:
+def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, ClassTable]:
     """Number of classes of coarea strictly below `volume` containing the spectrum.
 
     Works for both verdicts: with an infinite nonsplit set the prime pool
     is cut off below 1 + 3V/pi, which no admissible ramified prime can
-    reach. Returns the count and the classes sorted by coarea. One walk
-    counts the classes and then lists them: past CLASS_BUDGET it raises
-    SearchExhaustedError before listing any.
+    reach. Returns the count and a ClassTable of the classes sorted by
+    coarea, each built when it is read. One walk counts the classes and
+    then lists them: past CLASS_BUDGET it raises SearchExhaustedError
+    before listing any.
     """
     if not 0 < volume < math.inf:  # exact for an int or a Fraction past the float range too
         raise DomainError(f"volume bound must be finite and positive, got {volume}")
@@ -516,7 +534,7 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, list[AlgebraClass]]
     walk = _walk(blocks, top)
     count = _even_count(blocks, walk, top)
     _check_class_budget(count)
-    return count, _classes(_merged(blocks), walk)
+    return count, _sorted_even_sets(_merged(blocks), walk)
 
 
 @dataclass(frozen=True)

@@ -10,10 +10,8 @@ degree of the totally real base field k, since zeta_k(-1) is rational.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
 
 from .arith import _check_disc, _check_integer, _integer, factorize, is_prime, kronecker
 from .errors import DomainError, SearchExhaustedError
@@ -106,33 +104,16 @@ class AlgebraClass:
         return None if self.ram.at_infinity else coarea_rational(self.ram)
 
 
-def _trusted_builder(ram_set: type[RamSet], algebra: type[AlgebraClass]):
-    """Batch builder of classes from a list of ramification tuples that need no checks.
-
-    Each tuple must already be ascending, distinct, proven prime and even in
-    number, with no infinite place, as the census's even sets are. No
-    dataclass __init__ runs: the slots are filled through their descriptors,
-    by C-level maps drained into a zero-length deque.
-    The classes are closed over, not looked up by module name, so a wrapper
-    rebound to the name RamSet (as the benchmark tracer does) cannot reach in.
+def _unchecked_class(primes: tuple[int, ...], ram_set=RamSet, algebra=AlgebraClass) -> AlgebraClass:
+    """The class ramified at primes, built with none of RamSet's checks: primes must be
+    ascending, distinct, proven prime and even in number, as a census listing's are.
+    The classes are default arguments, bound when this is defined, so a wrapper rebound
+    to the name RamSet (as the benchmark tracer does) cannot reach in.
     """
-    new = object.__new__
-    set_primes = ram_set.finite_primes.__set__
-    set_infinity = ram_set.at_infinity.__set__
-    set_ram = algebra.ram.__set__
-
-    def build(rams: list[tuple[int, ...]]) -> list[AlgebraClass]:
-        ram_sets = list(map(new, repeat(ram_set, len(rams))))
-        deque(map(set_primes, ram_sets, rams), 0)
-        deque(map(set_infinity, ram_sets, repeat(False)), 0)
-        classes = list(map(new, repeat(algebra, len(rams))))
-        deque(map(set_ram, classes, ram_sets), 0)
-        return classes
-
-    return build
-
-
-_trusted_classes = _trusted_builder(RamSet, AlgebraClass)
+    ram = object.__new__(ram_set)
+    object.__setattr__(ram, "finite_primes", primes)
+    object.__setattr__(ram, "at_infinity", False)
+    return algebra(ram)
 
 
 def _split_valuation(n: int, p: int) -> tuple[int, int]:

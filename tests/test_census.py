@@ -7,6 +7,7 @@ import dataclasses
 import gc
 import itertools
 import math
+import pickle
 import random
 import sys
 import time
@@ -373,9 +374,10 @@ def test_even_ram_set_counter_against_brute_force(monkeypatch):
                 arr = np.array(fac, dtype=dtype)
                 walk = census._walk([arr], c)
                 listed = census._sorted_even_sets(arr, walk)
-                assert listed == brute, (pool, c, dtype)
+                rams = [cls.ram.finite_primes for cls in listed]
+                assert rams == brute, (pool, c, dtype)
                 assert len(listed) == census._even_count([arr], walk, c), (pool, c, dtype)
-                assert all(type(p) is int for R in listed for p in R), (pool, c, dtype)
+                assert all(type(p) is int for R in rams for p in R), (pool, c, dtype)
 
 
 def _check_block_counts(blocks, top: int, cutoffs: list[int], counts: list[int]) -> None:
@@ -537,7 +539,9 @@ def test_finite_census_past_int64():
     # the listing takes one path below 2**64 and past it: the system's own
     # factors, and those with 3, 11, 13 and 17 added
     def listed(fac, top):
-        return census._sorted_even_sets(fac, census._walk([fac], top))
+        rams = [c.ram.finite_primes for c in census._sorted_even_sets(fac, census._walk([fac], top))]
+        assert all(type(p) is int for R in rams for p in R), top
+        return rams
 
     fac = census._merged(census._ram_factors(census._system(fields), p))
     assert fac.dtype == object and listed(fac, 4 * (p - 1)) == [(), (5, p)]
@@ -712,9 +716,9 @@ def test_census_leaves_no_reference_cycles():
 
 @pytest.mark.parametrize("enabled", [True, False])
 def test_census_restores_the_collector_state(monkeypatch, enabled):
-    """The class build pauses the collector and leaves it as it found it, also when
-    the build raises. With the collector on, a later collection finds nothing the
-    pause deferred."""
+    """Nothing in the census turns the collector on or off: a call leaves it as it
+    found it, also when the listing raises. With the collector on, a later
+    collection finds nothing left behind."""
     spec = spectrum_from_inputs(traces=[4])
     fields = construct_family(6).fields
     calls = [lambda: pi_of_V(spec, 1e5), lambda: count_algebras(fields)]
@@ -752,7 +756,7 @@ def test_census_with_ram_set_rebound_to_a_wrapper(monkeypatch):
 
 def test_class_budget_is_checked_before_building(monkeypatch):
     """A listing of exactly CLASS_BUDGET classes is built; one more class raises
-    SearchExhaustedError, carrying the budget, before any class is built."""
+    SearchExhaustedError, carrying the budget, before the class table is built."""
     spec = spectrum_from_inputs(traces=[4])
     count = pi_of_V(spec, 1e4)[0]
     # trace 4 at V = 1e7 (test_short_interval_scale_pin) still lists
@@ -761,15 +765,78 @@ def test_class_budget_is_checked_before_building(monkeypatch):
     assert pi_of_V(spec, 1e4)[0] == count
     assert count_algebras(TRIPLE).count_total == 2
 
-    def build_fails(rams):
-        raise AssertionError("built classes past the budget")
+    def build_fails(fac, walk):
+        raise AssertionError("built the class table past the budget")
 
-    monkeypatch.setattr(census, "_trusted_classes", build_fails)
+    monkeypatch.setattr(census, "_sorted_even_sets", build_fails)
     for budget, call in ((count - 1, lambda: pi_of_V(spec, 1e4)), (1, lambda: count_algebras(TRIPLE))):
         monkeypatch.setattr(census, "CLASS_BUDGET", budget)
         with pytest.raises(SearchExhaustedError) as info:
             call()
         assert info.value.bound == budget
+
+
+def test_a_listing_builds_its_classes_only_when_read(monkeypatch):
+    """pi_of_V and count_algebras return a table of index rows and build no class:
+    each class is built by quaternion._unchecked_class when it is read, so the
+    CLI's first 200 rows build exactly 200 classes, equal to the full listing's."""
+    spec = spectrum_from_inputs(traces=[4])
+    fields = construct_family(8).fields
+    unchecked, built = quaternion._unchecked_class, []
+
+    def counting(primes):
+        built.append(primes)
+        return unchecked(primes)
+
+    monkeypatch.setattr(census, "_unchecked_class", counting)
+    for call in (lambda: pi_of_V(spec, 1e5)[1], lambda: count_algebras(fields).classes):
+        built.clear()
+        classes = call()
+        assert built == [] and len(classes) > 200
+        head = list(classes[:200])
+        assert len(built) == 200
+        assert head == list(classes)[:200] and built[:200] == [c.ram.finite_primes for c in head]
+
+
+@pytest.mark.parametrize("finite", [True, False])
+def test_class_table_is_a_read_only_sequence(finite):
+    """A ClassTable reads as the list of its classes: indices either side, IndexError
+    past both ends, slices (tables too), == and hash with a table and a list, pickle.
+    Both pools: a finite census's object array of Python ints and an infinite one's int64."""
+    def table():
+        if finite:
+            return count_algebras(construct_family(5).fields).classes
+        return pi_of_V(spectrum_from_inputs(traces=[4]), 1e3)[1]
+
+    classes = table()
+    items = list(classes)
+    n = len(items)
+    assert isinstance(classes, census.ClassTable) and len(classes) == n > 8
+    assert [classes[i] for i in range(-n, n)] == items + items
+    assert classes[np.int64(3)] == items[3]
+    for i in (n, -n - 1, 10**30):
+        with pytest.raises(IndexError):
+            classes[i]
+    with pytest.raises(TypeError):
+        classes[1.0]
+    with pytest.raises(TypeError):
+        classes[0] = items[0]
+    for part in (slice(None), slice(2, -2), slice(None, None, 3), slice(-1, 0, -2), slice(n, None), slice(4, 2)):
+        sub = classes[part]
+        assert isinstance(sub, census.ClassTable), part
+        assert list(sub) == items[part] and len(sub) == len(items[part]), part
+        assert sub == items[part] and hash(sub) == hash(tuple(items[part])), part
+    assert classes[1:][2:5][::-1] == items[1:][2:5][::-1]
+    twin = table()
+    assert twin is not classes and twin == classes and hash(twin) == hash(classes)
+    assert classes == items and items == classes and classes == tuple(items)
+    assert hash(classes) == hash(tuple(items))
+    assert classes != items[:-1] and classes != items[::-1] and classes != classes[1:]
+    assert classes != 3 and classes[:0] == [] and hash(classes[:0]) == hash(())
+    for proto in range(pickle.HIGHEST_PROTOCOL + 1):
+        copy = pickle.loads(pickle.dumps(classes, proto))
+        assert type(copy) is census.ClassTable and list(copy) == items, proto
+        assert copy == classes and hash(copy) == hash(classes), proto
 
 
 def test_class_budget_is_checked_before_listing_the_pool(monkeypatch):

@@ -18,6 +18,7 @@ import pytest
 import commcensus
 import oracles
 from commcensus import quaternion
+from commcensus.census import count_algebras
 from commcensus.errors import DomainError
 from commcensus.quadratic import SplitType, field_from_d, splitting
 from commcensus.quaternion import (
@@ -46,14 +47,14 @@ def test_pi_multiple_rendering():
 def test_slotted_records_round_trip():
     """Pickle, copy and deepcopy give equal, equally hashed records of the same type.
 
-    Covers a class from the census's batch builder too, which fills the slots
+    Covers a class read from a census's class table too, whose slots are filled
     without running __init__. The records are frozen and have no __dict__.
     """
     records = [
         RamSet((3, 17)),
         RamSet((2,), at_infinity=True),
         AlgebraClass(RamSet((5, 13))),
-        quaternion._trusted_classes([(3, 17)])[0],
+        count_algebras([field_from_d(3), field_from_d(17), field_from_d(51)]).classes[1],
         PiMultiple(Fraction(32, 3)),
     ]
     for rec in records:
