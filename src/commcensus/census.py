@@ -55,8 +55,7 @@ __all__ = [
 # Most classes a listing sorts. Its ClassTable holds an index row per class, so pi_of_V
 # peaks near 95 bytes of RSS per class (commcensus pi --traces 4 --volume 1.5e7: 2,078,722
 # classes, 225 MB, the interpreter included), under 300 MB at the budget. A finite census's
-# Python-int coareas and per-node tuples cost more (count on 22 nonsplit primes: 2**21
-# classes, 554 MB).
+# Python-int coareas and index tuples cost more (count on 22 nonsplit primes: 2**21 classes, 486 MB).
 CLASS_BUDGET = 1 << 21
 
 # Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half the
@@ -249,18 +248,17 @@ class CensusReport:
 def count_algebras(fields) -> CensusReport:
     """All commensurability classes admitting every field, with coareas.
 
-    The classes are the even subsets of the nonsplit prime set, so the
-    total is 2**(m-1) for m >= 1 nonsplit primes (1 when m = 0: only the
-    matrix algebra), and all but the empty set are division algebras.
-    Past CLASS_BUDGET classes it raises SearchExhaustedError instead.
+    The classes are the even subsets of the nonsplit prime set, so the total is 2**(m-1)
+    for m >= 1 nonsplit primes (1 when m = 0: only the matrix algebra), and all but the
+    empty set are division algebras. Past CLASS_BUDGET classes it raises SearchExhaustedError
+    instead. It lists through pi_of_V's path, at the cutoff prod(p - 1) past every coarea.
     """
     system = _system(fields)
     s0 = _finite(system)
     count = 2 ** (len(s0) - 1) if s0 else 1
-    _check_class_budget(count)
-    fac = np.array(s0, dtype=object) - 1
-    classes = _sorted_even_sets(fac, _walk([fac], math.prod(fac)))
-    if len(classes) != count:
+    _check_class_budget(count)  # before the walk, which a finite census runs in full
+    listed, classes = _listing(system, math.prod(p - 1 for p in s0))
+    if listed != count:
         raise RuntimeError("even-subset count mismatch")
     return CensusReport(
         fields=system.fields,
@@ -408,15 +406,13 @@ def _ram_factors(system: _System, top: int) -> list[np.ndarray]:
     return blocks
 
 
-def _odd_nodes(fac: list[int], top: int):
-    """Odd-size sets S of factors with an even child S + {j} within the cutoff.
-
-    Yields (start, prod(S), indices of S); the children are the j >= start
-    with fac[j] <= top // prod(S). Walks an explicit stack of even sets (a
-    recursive closure would leave reference cycles behind), stacking one
-    only if some odd child of it has an even child in turn.
-    """
+def _odd_nodes(fac: list[int], top: int) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
+    """Odd-size sets S of factors with an even child S + {j} within the cutoff, as columns in
+    walk order: start (the children are the j >= start with fac[j] <= top // prod(S)), prod(S)
+    and the indices of S. Walks an explicit stack of even sets (a recursive closure would leave
+    reference cycles behind), stacking one only if some odd child of it has an even child too."""
     n = len(fac)
+    starts, prods, chosen = [], [], []
     stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 1, ())]
     while stack:
         start, prod, even = stack.pop()
@@ -424,13 +420,15 @@ def _odd_nodes(fac: list[int], top: int):
             odd = prod * fac[k]
             if odd * fac[k + 1] > top:
                 break
-            chosen = even + (k,)
-            yield k + 1, odd, chosen
+            starts.append(k + 1)
+            prods.append(odd)
+            chosen.append(even + (k,))
             for j in range(k + 1, n - 2):
                 nxt = odd * fac[j]
                 if nxt * fac[j + 1] * fac[j + 2] > top:
                     break
-                stack.append((j + 1, nxt, chosen + (j,)))
+                stack.append((j + 1, nxt, chosen[-1] + (j,)))
+    return starts, prods, chosen
 
 
 class _Walk(NamedTuple):
@@ -440,7 +438,7 @@ class _Walk(NamedTuple):
     top: int
     starts: np.ndarray
     prods: np.ndarray  # fac's dtype
-    chosen: tuple[tuple[int, ...], ...]
+    chosen: list[tuple[int, ...]]
 
 
 def _walk(blocks: list[np.ndarray], top: int) -> _Walk:
@@ -457,8 +455,7 @@ def _walk(blocks: list[np.ndarray], top: int) -> _Walk:
     """
     ends = [int(np.searchsorted(block, math.isqrt(top), "right")) for block in blocks]
     head = _merged([block[:end + 1] for block, end in zip(blocks, ends)])[:sum(ends) + 1]
-    nodes = list(_odd_nodes(head.tolist(), top))
-    starts, prods, chosen = zip(*nodes) if nodes else ((), (), ())
+    starts, prods, chosen = _odd_nodes(head.tolist(), top)
     return _Walk(top, np.array(starts, np.intp), np.array(prods, head.dtype), chosen)
 
 
@@ -477,25 +474,23 @@ def _even_count(blocks: list[np.ndarray], walk: _Walk, cutoff: int) -> int:
     return int(cutoff >= 1) + int(_spans(blocks, walk, cutoff).sum())
 
 
-def _sorted_even_sets(fac: np.ndarray, walk: _Walk) -> ClassTable:
+def _sorted_even_sets(fac: np.ndarray, walk: _Walk, spans: np.ndarray) -> ClassTable:
     """Every even set R of the primes f + 1 with prod(f) <= walk.top, ascending by (prod, R).
 
-    fac is the merge of the blocks walked (_merged).
-    Each node's children are its _spans at walk.top, and one lexsort orders them all:
-    by prod, then by the indices of R, padded with -1 so that a prefix sorts first.
-    Equal coareas are common (trace 4 at V = 3e5: 22,966 of 47,793 classes share one),
-    so prod alone, even stably sorted, is not the order. The sorted index rows, the
-    empty set first, are the table, filled a column at a time once the per-child
-    arrays are freed, so no whole-table temporary exists. No class is built here.
+    fac is the merge of the blocks walked (_merged); spans are the nodes' _spans at walk.top.
+    One lexsort orders every child: by prod, then by the indices of R, padded with -1 so
+    that a prefix sorts first. Equal coareas are common (trace 4 at V = 3e5: 22,966 of
+    47,793 classes share one), so prod alone, even stably sorted, is not the order. The
+    sorted index rows, the empty set first, are the table, filled a column at a time once
+    the per-child arrays are freed, so no whole-table temporary exists. No class is built here.
     """
     primes = (fac + 1).tolist()
     starts, prods, chosen = walk.starts, walk.prods, walk.chosen
     if not chosen:
         return ClassTable(primes, np.empty((int(walk.top >= 1), 0), np.int8))
-    counts = _spans([fac], walk, walk.top)
     # the node and the last index of every child, nodes in walk order
-    node = np.repeat(np.arange(len(chosen)), counts)
-    child = np.arange(len(node)) - np.repeat(np.cumsum(counts) - counts - starts, counts)
+    node = np.repeat(np.arange(len(chosen)), spans)
+    child = np.arange(len(node)) - np.repeat(np.cumsum(spans) - spans - starts, spans)
     # row t holds index t of each R: its node's head, then the child, then -1
     heads = np.array(list(zip_longest(*chosen, fillvalue=-1)), np.min_scalar_type(-len(fac)))
     keys = np.full((len(heads) + 1, len(node)), -1, heads.dtype)
@@ -516,6 +511,17 @@ def _check_class_budget(count: int) -> None:
         )
 
 
+def _listing(system: _System, top: int) -> tuple[int, ClassTable]:
+    """(count, ClassTable) of the even sets R with prod(R) <= top: one walk's spans count them,
+    and past CLASS_BUDGET it raises before the pool is merged and listed."""
+    blocks = _ram_factors(system, top)
+    walk = _walk(blocks, top)
+    spans = _spans(blocks, walk, top)
+    count = int(top >= 1) + int(spans.sum())  # _even_count, the spans kept for the listing
+    _check_class_budget(count)
+    return count, _sorted_even_sets(_merged(blocks), walk, spans)
+
+
 def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, ClassTable]:
     """Number of classes of coarea strictly below `volume` containing the spectrum.
 
@@ -524,17 +530,11 @@ def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, ClassTable]:
     reach. Returns the count and a ClassTable of the classes sorted by
     coarea, each built when it is read. One walk counts the classes and
     then lists them: past CLASS_BUDGET it raises SearchExhaustedError
-    before listing any.
+    before listing any. count_algebras lists through the same path.
     """
     if not 0 < volume < math.inf:  # exact for an int or a Fraction past the float range too
         raise DomainError(f"volume bound must be finite and positive, got {volume}")
-    system = _system(spec.fields())
-    top = _cutoff(volume)
-    blocks = _ram_factors(system, top)
-    walk = _walk(blocks, top)
-    count = _even_count(blocks, walk, top)
-    _check_class_budget(count)
-    return count, _sorted_even_sets(_merged(blocks), walk)
+    return _listing(_system(spec.fields()), _cutoff(volume))
 
 
 @dataclass(frozen=True)

@@ -203,6 +203,20 @@ def test_pi_of_v_monotone_and_saturates():
     assert pi_of_V(spec, 34.0)[0] == count_algebras(TRIPLE).eventual_pi
 
 
+@pytest.mark.parametrize("radicands", [(3, 17, 51), (3, 5, 15, 7)])
+def test_finite_census_lists_as_pi_past_every_coarea(radicands):
+    """A finite spectrum lists both ways alike: pi_of_V at a V past every coarea (the
+    largest is pi/3 * prod(p - 1) over the nonsplit primes) equals count_algebras in
+    count and in classes, both at that V and at 10**30."""
+    spec = spectrum_from_inputs(radicands=list(radicands))
+    report = count_algebras(spec.fields())
+    top = math.prod(p - 1 for p in report.nonsplit)
+    for volume in (2 * top, 10**30):
+        count, classes = pi_of_V(spec, volume)
+        assert count == report.count_total == len(classes) == report.eventual_pi, volume
+        assert classes == report.classes, volume
+
+
 def test_pi_of_v_infinite_spec_brute_subsets():
     """Single trace-4 class: even subsets of nonsplit primes below the cut."""
     spec = spectrum_from_inputs(traces=[4])
@@ -373,7 +387,7 @@ def test_even_ram_set_counter_against_brute_force(monkeypatch):
             for dtype in (np.int64, object):
                 arr = np.array(fac, dtype=dtype)
                 walk = census._walk([arr], c)
-                listed = census._sorted_even_sets(arr, walk)
+                listed = census._sorted_even_sets(arr, walk, census._spans([arr], walk, c))
                 rams = [cls.ram.finite_primes for cls in listed]
                 assert rams == brute, (pool, c, dtype)
                 assert len(listed) == census._even_count([arr], walk, c), (pool, c, dtype)
@@ -539,7 +553,8 @@ def test_finite_census_past_int64():
     # the listing takes one path below 2**64 and past it: the system's own
     # factors, and those with 3, 11, 13 and 17 added
     def listed(fac, top):
-        rams = [c.ram.finite_primes for c in census._sorted_even_sets(fac, census._walk([fac], top))]
+        walk = census._walk([fac], top)
+        rams = [c.ram.finite_primes for c in census._sorted_even_sets(fac, walk, census._spans([fac], walk, top))]
         assert all(type(p) is int for R in rams for p in R), top
         return rams
 
@@ -731,7 +746,7 @@ def test_census_restores_the_collector_state(monkeypatch, enabled):
             assert gc.isenabled() is enabled
             assert gc.collect() == 0
 
-        def walk_fails(fac, top):
+        def walk_fails(fac, walk, spans):
             raise RuntimeError("walk failed")
 
         monkeypatch.setattr(census, "_sorted_even_sets", walk_fails)
@@ -765,7 +780,7 @@ def test_class_budget_is_checked_before_building(monkeypatch):
     assert pi_of_V(spec, 1e4)[0] == count
     assert count_algebras(TRIPLE).count_total == 2
 
-    def build_fails(fac, walk):
+    def build_fails(fac, walk, spans):
         raise AssertionError("built the class table past the budget")
 
     monkeypatch.setattr(census, "_sorted_even_sets", build_fails)
