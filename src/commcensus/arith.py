@@ -175,8 +175,6 @@ def factorize(n: int, *, _whole_squares: bool = False) -> PrimeFactorization:
     stack = [(n, 1)] if n > 1 else []  # (m, e): m**e divides what is left
     while stack:
         m, e = stack.pop()
-        if m == 1:
-            continue
         if m < _TRIAL_BOUND * _TRIAL_BOUND or is_prime(m):
             factors[m] = factors.get(m, 0) + e
             continue
@@ -352,8 +350,6 @@ def pell_fundamental(d: int) -> PellSolution:
 
 def _small_sieve(limit: int) -> np.ndarray:
     """Primes below `limit` as a numpy int64 array."""
-    if limit < 2:
-        return np.empty(0, dtype=np.int64)
     mask = np.ones(limit, dtype=bool)
     mask[:2] = False
     for p in range(2, math.isqrt(limit - 1) + 1):

@@ -26,7 +26,8 @@ import numpy as np
 
 from . import gf2
 from .arith import (
-    _SEGMENT, _check_integer, character_table, factorize, kronecker, prime_count, prime_segments,
+    _SEGMENT, _check_integer, character_table, factorize, is_prime, kronecker, prime_count,
+    prime_segments,
 )
 from .errors import DomainError, SearchExhaustedError
 from .quadratic import QuadField, QuadOrder, SplitType, field_from_d, prime_disc_vector, splitting
@@ -52,10 +53,10 @@ __all__ = [
     "verify_chebotarev_interval",
 ]
 
-# Most classes a listing sorts. Its ClassTable holds an index row per class, so pi_of_V
-# peaks near 95 bytes of RSS per class (commcensus pi --traces 4 --volume 1.5e7: 2,078,722
-# classes, 225 MB, the interpreter included), under 300 MB at the budget. A finite census's
-# Python-int coareas and index tuples cost more (count on 22 nonsplit primes: 2**21 classes, 486 MB).
+# Most classes a listing sorts, so most odd sets a walk holds (each has an even child). Its
+# ClassTable holds an index row per class: pi_of_V peaks near 95 bytes of RSS per class
+# (commcensus pi --traces 4 --volume 1.5e7: 2,078,722 classes, 225 MB with the interpreter),
+# under 300 MB at the budget, where a finite count takes more (22 nonsplit primes: 486 MB).
 CLASS_BUDGET = 1 << 21
 
 # Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half the
@@ -410,7 +411,8 @@ def _odd_nodes(fac: list[int], top: int) -> tuple[list[int], list[int], list[tup
     """Odd-size sets S of factors with an even child S + {j} within the cutoff, as columns in
     walk order: start (the children are the j >= start with fac[j] <= top // prod(S)), prod(S)
     and the indices of S. Walks an explicit stack of even sets (a recursive closure would leave
-    reference cycles behind), stacking one only if some odd child of it has an even child too."""
+    reference cycles behind), stacking one only if some odd child of it has an even child too.
+    Past CLASS_BUDGET sets S, each with its own even child, it raises SearchExhaustedError."""
     n = len(fac)
     starts, prods, chosen = [], [], []
     stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 1, ())]
@@ -428,6 +430,8 @@ def _odd_nodes(fac: list[int], top: int) -> tuple[list[int], list[int], list[tup
                 if nxt * fac[j + 1] * fac[j + 2] > top:
                     break
                 stack.append((j + 1, nxt, chosen[-1] + (j,)))
+        if len(chosen) > CLASS_BUDGET:
+            raise SearchExhaustedError(f"more than {CLASS_BUDGET} classes", bound=CLASS_BUDGET)
     return starts, prods, chosen
 
 
@@ -522,19 +526,20 @@ def _listing(system: _System, top: int) -> tuple[int, ClassTable]:
     return count, _sorted_even_sets(_merged(blocks), walk, spans)
 
 
-def pi_of_V(spec: SpectrumSpec, volume: float) -> tuple[int, ClassTable]:
+def pi_of_V(spec: SpectrumSpec | Sequence[QuadField], volume: float) -> tuple[int, ClassTable]:
     """Number of classes of coarea strictly below `volume` containing the spectrum.
 
-    Works for both verdicts: with an infinite nonsplit set the prime pool
-    is cut off below 1 + 3V/pi, which no admissible ramified prime can
-    reach. Returns the count and a ClassTable of the classes sorted by
-    coarea, each built when it is read. One walk counts the classes and
-    then lists them: past CLASS_BUDGET it raises SearchExhaustedError
-    before listing any. count_algebras lists through the same path.
+    spec is a SpectrumSpec or, as count_algebras takes them, its fields: over Q a census reads
+    its fields alone. Works for both verdicts: with an infinite nonsplit set the prime pool is
+    cut off below 1 + 3V/pi, which no admissible ramified prime can reach. Returns the count and
+    a ClassTable of the classes by coarea, each built when it is read. One walk counts and then
+    lists them, as count_algebras does: past CLASS_BUDGET it raises SearchExhaustedError before
+    listing any, from the walk once that holds more odd sets than CLASS_BUDGET.
     """
     if not 0 < volume < math.inf:  # exact for an int or a Fraction past the float range too
         raise DomainError(f"volume bound must be finite and positive, got {volume}")
-    return _listing(_system(spec.fields()), _cutoff(volume))
+    fields = spec.fields() if isinstance(spec, SpectrumSpec) else spec
+    return _listing(_system(fields), _cutoff(volume))
 
 
 @dataclass(frozen=True)
@@ -619,8 +624,7 @@ def construct_family(n: int, search_bound: int = FAMILY_SEARCH_BOUND) -> FamilyR
         raise DomainError(f"need search_bound >= 2, got {search_bound}")
     m = n + 2
     primes: list[int] = []
-    blocks = prime_segments(2, search_bound, 8, (1,))
-    for p in (p for block in blocks for p in block.tolist()):
+    for p in filter(is_prime, range(1, search_bound + 1, 8)):
         if not primes or kronecker(primes[0], p) == -1:
             primes.append(p)
             if len(primes) == m:

@@ -159,7 +159,7 @@ def _spectrum_inputs(args) -> dict[str, Any]:
         "radicands": _parse_list(args, "radicands"),
         "tol": getattr(args, "tol", DEFAULT_TOL),
     }
-    _check_tol(inputs["tol"])  # count reaches spectrum_from_inputs only with traces or lengths
+    _check_tol(inputs["tol"])  # count and pi reach spectrum_from_inputs only with traces or lengths
     return inputs
 
 
@@ -169,7 +169,7 @@ def _build_spectrum(args) -> tuple[SpectrumSpec, dict[str, Any]]:
 
 
 def _census_fields(args) -> tuple[tuple[QuadField, ...], dict[str, Any]]:
-    """Fields for census commands: the spectrum's fields of the traces and
+    """Fields for count and pi: the spectrum's fields of the traces and
     lengths, then the field of each radicand, in first-appearance order."""
     inputs = _spectrum_inputs(args)
     fields: tuple[QuadField, ...] = ()
@@ -208,9 +208,9 @@ def cmd_count(args) -> Report:
 
 
 def cmd_pi(args) -> Report:
-    spec, inputs = _build_spectrum(args)
+    fields, inputs = _census_fields(args)
     inputs["volume"] = args.volume
-    value, classes = pi_of_V(spec, args.volume)
+    value, classes = pi_of_V(fields, args.volume)
     warnings: list[str] = []
     result = {"pi": value, "volume": args.volume, "classes": _class_table(classes, warnings)}
     return Report("pi", inputs, result, warnings)

@@ -203,6 +203,19 @@ def test_pi_of_v_monotone_and_saturates():
     assert pi_of_V(spec, 34.0)[0] == count_algebras(TRIPLE).eventual_pi
 
 
+@pytest.mark.parametrize("inputs", [
+    {"traces": [4]}, {"traces": [4, 5]}, {"radicands": [3, 17, 51]}, {"radicands": [3, 5, 15, 7]},
+])
+def test_pi_of_v_reads_fields_as_a_spectrum(inputs):
+    """pi_of_V takes the embedding fields as it takes their spectrum: the same count and
+    the same classes, below, among and past the coareas."""
+    spec = spectrum_from_inputs(**inputs)
+    for volume in (1.0, 1.05, 40.0, 1e3, 3e4):
+        count, classes = pi_of_V(spec.fields(), volume)
+        assert (count, classes) == pi_of_V(spec, volume), volume
+        assert count == len(classes), volume
+
+
 @pytest.mark.parametrize("radicands", [(3, 17, 51), (3, 5, 15, 7)])
 def test_finite_census_lists_as_pi_past_every_coarea(radicands):
     """A finite spectrum lists both ways alike: pi_of_V at a V past every coarea (the
@@ -1040,6 +1053,56 @@ def test_each_census_call_walks_once(monkeypatch):
         with pytest.raises(SearchExhaustedError):
             calls[name]()
         assert len(walks) == want, name
+
+
+def test_class_budget_stops_the_walk(monkeypatch):
+    """Each odd set the walk holds has an even child within the cutoff, so past CLASS_BUDGET
+    odd sets the walk raises SearchExhaustedError, before any span is counted: from pi_of_V
+    and short_interval_delta alike, on a finite census at a cutoff past most coareas."""
+    spec = spectrum_from_inputs(traces=[112, 156, 397])
+    assert count_algebras(spec.fields()).nonsplit == (2, 3, 5, 7, 11, 19, 79)
+    odd_nodes, held = census._odd_nodes, []
+
+    def watched(fac, top):
+        nodes = odd_nodes(fac, top)
+        held.append(len(nodes[2]))
+        return nodes
+
+    def no_spans(*args):
+        raise AssertionError("counted spans")
+
+    monkeypatch.setattr(census, "_odd_nodes", watched)
+    assert pi_of_V(spec, 1e30)[0] == 64 and held == [32]  # 2**6 classes, 2**5 odd sets
+    monkeypatch.setattr(census, "_spans", no_spans)
+    calls = (
+        lambda: pi_of_V(spec, 1e30),
+        lambda: pi_of_V(spec.fields(), 1e30),
+        lambda: short_interval_delta(spec, 1e30, 1e29),
+    )
+    for call in calls:
+        monkeypatch.setattr(census, "CLASS_BUDGET", 32)  # the walk ends; the spans come next
+        with pytest.raises(AssertionError, match="counted spans"):
+            call()
+        monkeypatch.setattr(census, "CLASS_BUDGET", 31)
+        with pytest.raises(SearchExhaustedError) as info:
+            call()
+        assert info.value.bound == 31
+
+
+def test_construct_family_scans_its_primes_as_it_reads_them():
+    """The generating primes are tested one by one, smallest first: no sieve base of the
+    primes up to sqrt(search_bound) is built, so a bound of 4 * 10**18 costs what 10**6
+    does, and a bound past the sieve's 2**62 is accepted."""
+    want = construct_family(3)
+    for bound in (4 * 10**18, 2**64):
+        tracemalloc.start()
+        try:
+            fam = construct_family(3, search_bound=bound)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (fam.primes, fam.d4) == (want.primes, want.d4) == ((17, 41, 73, 97, 113), 179)
+        assert peak < 2**20, (bound, peak)
 
 
 def test_construct_family_small_n():

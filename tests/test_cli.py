@@ -14,7 +14,7 @@ import time
 import numpy as np
 import pytest
 
-from commcensus import arith, census, cli, quadratic
+from commcensus import arith, census, cli, quadratic, spectra
 from commcensus.arith import character_table, norm_one_fundamental
 from commcensus.census import CLASS_BUDGET, SIEVE_BUDGET, construct_family
 from commcensus.cli import MAX_CLASS_ROWS, main
@@ -256,6 +256,19 @@ def test_every_command_tags_a_bad_radicand(capsys):
         assert doc["error"]["message"] == "radicands[1]: 4 is a perfect square, Q(sqrt(4)) = Q"
 
 
+def test_empty_inputs_name_the_flags(capsys):
+    """A census command with no input names the flags it reads: pi, like count, reads fields."""
+    for argv, message in (
+        (("count",), "provide --radicands, --traces, or --lengths"),
+        (("pi", "--volume", "10"), "provide --radicands, --traces, or --lengths"),
+        (("chebotarev", "--radicands", ",", "--X", "1000", "--Y", "100"),
+         "provide --radicands naming the fields"),
+    ):
+        code, doc = run_json(capsys, *argv)
+        assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
+        assert doc["error"]["message"] == message, argv
+
+
 def test_bad_trace_is_tagged(capsys):
     code, doc = run_json(capsys, "spectra", "--traces", "4,2")
     assert (code, doc["error"]["type"]) == (2, "DomainError")
@@ -422,6 +435,20 @@ def test_count_takes_radicands_straight_to_fields(capsys, monkeypatch):
     assert code == 2
     assert doc["error"]["type"] == "InfiniteCensusError"
     assert 12 in calls and unit_trace**2 - 4 not in calls
+
+
+def test_pi_takes_radicands_straight_to_fields(capsys, monkeypatch):
+    """pi reads a radicand as its field, as count does: no norm-one unit is walked for, so
+    Q(sqrt 107637381713), a family's field, needs neither its unit nor that unit's t**2 - 4."""
+    def no_unit(*args):
+        raise AssertionError("walked for a norm-one unit")
+
+    for module in (arith, quadratic):
+        monkeypatch.setattr(module, "norm_one_fundamental", no_unit)
+    for module in (quadratic, spectra):
+        monkeypatch.setattr(module, "norm_one_unit", no_unit)
+    code, doc = run_json(capsys, "pi", "--radicands", "107637381713", "--volume", "40")
+    assert (code, doc["result"]["pi"]) == (0, 3)
 
 
 def test_search_exhaustion_exit_code(capsys):
