@@ -53,8 +53,9 @@ __all__ = [
     "verify_chebotarev_interval",
 ]
 
-# Most classes a listing sorts, so most odd sets a walk holds (each has an even child). Its
-# ClassTable holds an index row per class: pi_of_V peaks near 95 bytes of RSS per class
+# Most classes a listing sorts, so most odd sets a walk holds (each has an even child); a finite
+# census whose 2**(m-1) classes all lie within the cutoff is refused on that size before any
+# walk. A ClassTable holds an index row per class: pi_of_V peaks near 95 bytes of RSS a class
 # (commcensus pi --traces 4 --volume 1.5e7: 2,078,722 classes, 225 MB with the interpreter),
 # under 300 MB at the budget, where a finite count takes more (22 nonsplit primes: 486 MB).
 CLASS_BUDGET = 1 << 21
@@ -251,23 +252,13 @@ def count_algebras(fields) -> CensusReport:
 
     The classes are the even subsets of the nonsplit prime set, so the total is 2**(m-1)
     for m >= 1 nonsplit primes (1 when m = 0: only the matrix algebra), and all but the
-    empty set are division algebras. Past CLASS_BUDGET classes it raises SearchExhaustedError
-    instead. It lists through pi_of_V's path, at the cutoff prod(p - 1) past every coarea.
+    empty set are division algebras. It lists through pi_of_V's path at the cutoff prod(p - 1)
+    past every coarea, which refuses past CLASS_BUDGET classes before any walk.
     """
     system = _system(fields)
     s0 = _finite(system)
-    count = 2 ** (len(s0) - 1) if s0 else 1
-    _check_class_budget(count)  # before the walk, which a finite census runs in full
-    listed, classes = _listing(system, math.prod(p - 1 for p in s0))
-    if listed != count:
-        raise RuntimeError("even-subset count mismatch")
-    return CensusReport(
-        fields=system.fields,
-        verdict=_verdict(system),
-        nonsplit=s0,
-        classes=classes,
-        count_total=len(classes),
-    )
+    _, classes = _listing(system, math.prod(p - 1 for p in s0))
+    return CensusReport(system.fields, _verdict(system), s0, classes, len(classes))
 
 
 def _inert_mask(ps: np.ndarray, chars) -> np.ndarray:
@@ -307,9 +298,9 @@ def _inert_route(system: _System, lo: int, hi: int) -> tuple[int, list[int], lis
     classes = units >> system.rank
     passes = classes * -(-span // (modulus * _SEGMENT))
     plain = passes > -(-span // _SEGMENT)
-    # A table costs one kronecker call per residue: the filter builds one only
+    # A table costs one kronecker call per residue: either route builds one only
     # if it holds no more residues than there are numbers to classify.
-    table_max = min(1 << 20, span) if plain else 1 << 20
+    table_max = min(1 << 20, span)
     chars = [(disc, character_table(disc) if disc <= table_max else None) for disc in discs]
     if plain:
         return 1, [0], chars
@@ -517,11 +508,18 @@ def _check_class_budget(count: int) -> None:
 
 def _listing(system: _System, top: int) -> tuple[int, ClassTable]:
     """(count, ClassTable) of the even sets R with prod(R) <= top: one walk's spans count them,
-    and past CLASS_BUDGET it raises before the pool is merged and listed."""
+    and past CLASS_BUDGET it raises before the pool is merged and listed. If a finite pool (one
+    block) has its whole product within top, all its 2**(m-1) even sets are: that size is checked
+    before the walk. A pool only partly within top is left to the walk's cap (_odd_nodes)."""
     blocks = _ram_factors(system, top)
+    fits = system.finite and math.prod(blocks[0]) <= top
+    whole = 2 ** max(len(blocks[0]) - 1, 0) if fits else 0  # 1 when m = 0
+    _check_class_budget(whole)
     walk = _walk(blocks, top)
     spans = _spans(blocks, walk, top)
     count = int(top >= 1) + int(spans.sum())  # _even_count, the spans kept for the listing
+    if whole and count != whole:
+        raise RuntimeError("even-subset count mismatch")
     _check_class_budget(count)
     return count, _sorted_even_sets(_merged(blocks), walk, spans)
 
@@ -532,9 +530,9 @@ def pi_of_V(spec: SpectrumSpec | Sequence[QuadField], volume: float) -> tuple[in
     spec is a SpectrumSpec or, as count_algebras takes them, its fields: over Q a census reads
     its fields alone. Works for both verdicts: with an infinite nonsplit set the prime pool is
     cut off below 1 + 3V/pi, which no admissible ramified prime can reach. Returns the count and
-    a ClassTable of the classes by coarea, each built when it is read. One walk counts and then
-    lists them, as count_algebras does: past CLASS_BUDGET it raises SearchExhaustedError before
-    listing any, from the walk once that holds more odd sets than CLASS_BUDGET.
+    a ClassTable of the classes by coarea, each built when it is read, off one walk, as in
+    count_algebras. Past CLASS_BUDGET it raises SearchExhaustedError: before the walk if all of a
+    finite census lies below `volume`, else once the walk holds more odd sets than the budget.
     """
     if not 0 < volume < math.inf:  # exact for an int or a Fraction past the float range too
         raise DomainError(f"volume bound must be finite and positive, got {volume}")

@@ -1,15 +1,15 @@
 """Command line interface.
 
 Every invocation but --help prints exactly one document to stdout, a usage
-error included: {command, inputs, result, warnings} on success and
-{command, error} on failure, floats at 12 significant digits. JSON is the
-default, with sorted keys. --format csv prints the same document as a
-path,value header and then one row per leaf: dict keys sorted, list items by
-index, joined by dots (result.classes.1.ram.0); an empty list or dict is one
-leaf; a string is its own cell and any other leaf its JSON text. An error
+error included: {command, inputs, result, warnings} on success and {command,
+error} on failure, floats at 12 significant digits. JSON is the default, with
+sorted keys. --format csv prints the same document as a path,value header and
+then one row per leaf: dict keys sorted, list items by index, joined by dots
+(result.classes.1.ram.0); an empty list or dict is one leaf; a string that does
+not parse as JSON is its own cell, any other leaf its JSON text. An error
 document is always JSON. Logs go to stderr, at the level named by the
-COMMCENSUS_LOG environment variable (default warning). Exit codes: 0 success,
-2 domain error or usage error, 3 search exhaustion, 1 internal failure.
+COMMCENSUS_LOG environment variable (default warning). Exit codes: 0 success, 2
+domain error or usage error, 3 search exhaustion, 1 internal failure.
 """
 
 from __future__ import annotations
@@ -76,17 +76,23 @@ def _leaves(node, path: str = ""):
 
 
 def _emit(doc: dict, fmt: str) -> None:
-    """Print a document as JSON, or as csv: a path,value row per leaf, a string
-    leaf as its text and any other leaf as its JSON text."""
+    """Print a document as JSON, or as csv: a path,value row per leaf, a string leaf
+    as its text unless that parses as JSON ("-1"), and the rest as their JSON text."""
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
         return
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(["path", "value"])
-    writer.writerows(
-        (path, value if isinstance(value, str) else json.dumps(value))
-        for path, value in _leaves(doc)
-    )
+    writer.writerows((path, _cell(value)) for path, value in _leaves(doc))
+
+
+def _cell(value) -> str:
+    if isinstance(value, str):
+        try:
+            json.loads(value)
+        except ValueError:
+            return value
+    return json.dumps(value)
 
 
 def _field_doc(fld: QuadField) -> dict:

@@ -1058,7 +1058,9 @@ def test_each_census_call_walks_once(monkeypatch):
 def test_class_budget_stops_the_walk(monkeypatch):
     """Each odd set the walk holds has an even child within the cutoff, so past CLASS_BUDGET
     odd sets the walk raises SearchExhaustedError, before any span is counted: from pi_of_V
-    and short_interval_delta alike, on a finite census at a cutoff past most coareas."""
+    and short_interval_delta alike, on a finite census at a cutoff past most coareas. pi_of_V
+    runs at V = 705,727, whose cutoff 673,919 is one below the product of the pool's factors,
+    so one class is left out and the walk, not the size check, decides."""
     spec = spectrum_from_inputs(traces=[112, 156, 397])
     assert count_algebras(spec.fields()).nonsplit == (2, 3, 5, 7, 11, 19, 79)
     odd_nodes, held = census._odd_nodes, []
@@ -1072,21 +1074,42 @@ def test_class_budget_stops_the_walk(monkeypatch):
         raise AssertionError("counted spans")
 
     monkeypatch.setattr(census, "_odd_nodes", watched)
-    assert pi_of_V(spec, 1e30)[0] == 64 and held == [32]  # 2**6 classes, 2**5 odd sets
+    assert pi_of_V(spec, 705727)[0] == 63 and held == [31]  # 2**6 - 1 classes, 31 odd sets
+    held.clear()
+    assert short_interval_delta(spec, 1e30, 1e29).count_at_v == 64 and held == [32]
     monkeypatch.setattr(census, "_spans", no_spans)
     calls = (
-        lambda: pi_of_V(spec, 1e30),
-        lambda: pi_of_V(spec.fields(), 1e30),
-        lambda: short_interval_delta(spec, 1e30, 1e29),
+        (lambda: pi_of_V(spec, 705727), 31),
+        (lambda: pi_of_V(spec.fields(), 705727), 31),
+        (lambda: short_interval_delta(spec, 1e30, 1e29), 32),
     )
-    for call in calls:
-        monkeypatch.setattr(census, "CLASS_BUDGET", 32)  # the walk ends; the spans come next
+    for call, odd_sets in calls:
+        monkeypatch.setattr(census, "CLASS_BUDGET", odd_sets)  # the walk ends; the spans come next
         with pytest.raises(AssertionError, match="counted spans"):
             call()
-        monkeypatch.setattr(census, "CLASS_BUDGET", 31)
+        monkeypatch.setattr(census, "CLASS_BUDGET", odd_sets - 1)
         with pytest.raises(SearchExhaustedError) as info:
             call()
-        assert info.value.bound == 31
+        assert info.value.bound == odd_sets - 1
+
+
+def test_a_census_within_the_cutoff_is_sized_before_the_walk(monkeypatch):
+    """Traces 112, 156, 397 have the pool factors 1, 2, 4, 6, 10, 18, 78, whose product is
+    673,920. At V = 705,728 the cutoff is 673,920, so all 2**6 classes lie within it and
+    pi_of_V refuses a budget of 63 on that size, with no walk; at V = 705,727 the cutoff is
+    673,919, and 63 classes are listed."""
+    spec = spectrum_from_inputs(traces=[112, 156, 397])
+    assert census._cutoff(705728) == 673920 and census._cutoff(705727) == 673919
+    monkeypatch.setattr(census, "CLASS_BUDGET", 63)
+    assert len(pi_of_V(spec, 705727)[1]) == 63
+
+    def no_walk(fac, top):
+        raise AssertionError("walked a census its size refuses")
+
+    monkeypatch.setattr(census, "_odd_nodes", no_walk)
+    with pytest.raises(SearchExhaustedError) as info:
+        pi_of_V(spec, 705728)
+    assert info.value.bound == 63
 
 
 def test_construct_family_scans_its_primes_as_it_reads_them():

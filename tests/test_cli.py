@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 import os
@@ -189,6 +190,26 @@ def test_byte_identical_reruns(capsys):
     assert first == second
 
 
+def _read_cell(cell: str):
+    """A csv cell read back: its JSON value if it parses as JSON, else the string itself."""
+    try:
+        return json.loads(cell)
+    except ValueError:
+        return cell
+
+
+def test_csv_string_that_reads_as_json_is_quoted(capsys):
+    """The JSON string "-1" is the cell "-1", quotes included, so it reads back as the
+    string and not as the number -1; a string that is no JSON stays its own text."""
+    code, out = run(capsys, "volume", "--degree", "3", "--zeta-minus1=-1", "--format", "csv")
+    assert code == 0
+    assert 'inputs.zeta_minus1,"""-1"""\n' in out
+    cells = dict(list(csv.reader(io.StringIO(out)))[1:])
+    assert _read_cell(cells["inputs.zeta_minus1"]) == "-1"
+    assert _read_cell(cells["result.zeta_minus1"]) == "-1"
+    assert cells["result.coarea_exact"] == "pi" and cells["inputs.degree"] == "3"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -197,11 +218,13 @@ def test_byte_identical_reruns(capsys):
         ("selectivity", "--ramified", "2,5", "--order-disc", "45"),
         ("count", "--radicands", "3,17,51"),
         ("pi", "--traces", "4", "--volume", "1e3"),
+        ("volume", "--degree", "3", "--zeta-minus1=-1"),
     ],
 )
 def test_csv_cells_read_back_as_the_json_document(capsys, argv):
     """Each csv path, split at its dots, looks up the json document's value, which
-    is the cell as a string or as JSON text; the rows are all of its leaves."""
+    is the cell as a string, unless that parses as JSON, or as JSON text; the rows
+    are all of its leaves."""
     code, doc = run_json(capsys, *argv)
     assert code == 0
     code, out = run(capsys, *argv, "--format", "csv")
@@ -213,7 +236,9 @@ def test_csv_cells_read_back_as_the_json_document(capsys, argv):
         for part in path.split("."):
             value = value[int(part)] if isinstance(value, list) else value[part]
         assert value in ([], {}) or not isinstance(value, (dict, list)), (argv, path)
-        assert cell == (value if isinstance(value, str) else json.dumps(value)), (argv, path)
+        as_text = isinstance(value, str) and _read_cell(value) is value
+        assert cell == (value if as_text else json.dumps(value)), (argv, path)
+        assert _read_cell(cell) == value, (argv, path)
 
     def count(value):
         if isinstance(value, (dict, list)) and value:
@@ -478,6 +503,31 @@ def test_count_past_class_budget_exit_code(capsys):
     assert doc["error"]["type"] == "SearchExhaustedError"
     assert doc["error"]["bound"] == CLASS_BUDGET
     assert doc["error"]["message"].startswith(f"{2 ** 23} classes")
+
+
+def test_pi_on_a_finite_census_within_the_cutoff_is_sized_not_walked(capsys, monkeypatch):
+    """The three fields construct_family starts from for 30 primes: p1 = 17, then the next
+    29 primes = 1 mod 8 inert in Q(sqrt(17)). Their 2**29 classes all lie below V = 1e100,
+    so pi exits 3 on that size alone, before any walk."""
+    inert = (p for p in range(25, 10**4, 8) if arith.is_prime(p) and arith.kronecker(17, p) == -1)
+    primes = [17, *itertools.islice(inert, 29)]
+    radicands = [17, math.prod(primes), math.prod(primes[1:])]
+    assert radicands[1:] == [
+        21804658339090781255846392786464831536822301964045929603336175281891985104350297,
+        1282626961122987132696846634497931266871900115532113506078598545993646182608841,
+    ]
+    assert math.pi / 3 * math.prod(p - 1 for p in primes) < 1e100
+
+    def no_walk(fac, top):
+        raise AssertionError("walked a census its size refuses")
+
+    monkeypatch.setattr(census, "_odd_nodes", no_walk)
+    argv = ("pi", "--radicands", ",".join(map(str, radicands)), "--volume", "1e100")
+    code, doc = run_json(capsys, *argv)
+    assert code == 3
+    assert doc["error"]["type"] == "SearchExhaustedError"
+    assert doc["error"]["bound"] == CLASS_BUDGET == 2_097_152
+    assert doc["error"]["message"].startswith(f"{2 ** 29} classes")
 
 
 def test_pi_past_class_budget_exit_code(capsys):

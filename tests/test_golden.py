@@ -94,13 +94,19 @@ def test_cli_output_matches_golden(name, fmt):
 def _flatten(value, path: str = "") -> list[list[str]]:
     """The [path, cell] rows of a JSON value: dict keys sorted, list items by index,
     joined by dots; an empty dict or list is one row; a string cell is the string
-    and any other cell the value's JSON text."""
+    unless it parses as JSON, and any other cell, or such a string, is the value's
+    JSON text."""
     prefix = f"{path}." if path else ""
     if isinstance(value, dict) and value:
         return [row for key in sorted(value) for row in _flatten(value[key], prefix + key)]
     if isinstance(value, list) and value:
         return [row for i, item in enumerate(value) for row in _flatten(item, f"{prefix}{i}")]
-    return [[path, value if isinstance(value, str) else json.dumps(value)]]
+    if isinstance(value, str):
+        try:
+            json.loads(value)
+        except ValueError:
+            return [[path, value]]
+    return [[path, json.dumps(value)]]
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
