@@ -26,7 +26,6 @@ __all__ = [
     "factorize",
     "squarefree_part",
     "kronecker",
-    "character_table",
     "pell_fundamental",
     "norm_one_fundamental",
     "prime_segments",
@@ -244,17 +243,6 @@ def kronecker(a: int, n: int) -> int:
             result = -result
         a %= n
     return result if n == 1 else 0
-
-
-def character_table(disc: int) -> np.ndarray:
-    """The quadratic character of a positive discriminant as an int8 table.
-
-    Entry r is the Kronecker symbol (disc|r) for r = 0, ..., disc - 1. The
-    character is periodic mod disc, so (disc|n) = table[n % disc] for every
-    n >= 0: one table serves a whole array of primes by fancy indexing.
-    """
-    disc = _check_disc(disc)
-    return np.array([kronecker(disc, r) for r in range(disc)], dtype=np.int8)
 
 
 def _integer(x) -> int | None:

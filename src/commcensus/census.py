@@ -26,7 +26,7 @@ import numpy as np
 
 from . import gf2
 from .arith import (
-    _SEGMENT, _check_integer, character_table, factorize, is_prime, kronecker, prime_count,
+    _SEGMENT, _check_integer, _check_progressions, factorize, is_prime, kronecker, prime_count,
     prime_segments,
 )
 from .errors import DomainError, SearchExhaustedError
@@ -60,12 +60,13 @@ __all__ = [
 # under 300 MB at the budget, where a finite count takes more (22 nonsplit primes: 486 MB).
 CLASS_BUDGET = 1 << 21
 
-# Most numbers one call sieves for inert primes. Trace 4's pool, the densest (half the
-# primes), stays in its sieved blocks, never merged, so a count peaks near 0.3 bytes of
-# RSS per number sieved (commcensus interval --traces 4 --V 3.8e8 --W 3.8e7: 399,160,597
-# numbers, 121 MB, the interpreter included), so under 130 MB at the budget. A Chebotarev
-# count holds one pass's mask, never its primes (--radicands 3,17 --X 1e9 --Y 399999999:
-# 34 MB).
+# Most numbers one call sieves for inert primes, and most base numbers up to sqrt(hi) it
+# sieves them with, so a Chebotarev X + Y is accepted up to about 1.6e17. Trace 4's pool,
+# the densest (half the primes), stays in its sieved blocks, never merged, so a count peaks
+# near 0.3 bytes of RSS per number sieved (commcensus interval --traces 4 --V 3.8e8 --W
+# 3.8e7: 399,160,597 numbers, 121 MB, the interpreter included), so under 130 MB at the
+# budget. A Chebotarev count holds one pass's mask, never its primes (--radicands 3,17
+# --X 1e9 --Y 399999999: 34 MB).
 SIEVE_BUDGET = 4 * 10**8
 
 # Default bound on construct_family's generating primes and fourth-field radicand.
@@ -261,71 +262,93 @@ def count_algebras(fields) -> CensusReport:
     return CensusReport(system.fields, _verdict(system), s0, classes, len(classes))
 
 
-def _inert_mask(ps: np.ndarray, chars) -> np.ndarray:
-    """Mask of the numbers in ps at which every character is -1; a None table calls kronecker."""
-    keep = np.ones(len(ps), dtype=bool)
-    for disc, table in chars:
-        if table is None:
-            vals = np.fromiter((kronecker(disc, int(p)) for p in ps), np.int8, len(ps))
-        else:
-            vals = table[ps % disc]
-        keep &= vals < 0
-    return keep
+def _character(q: int, ns: np.ndarray) -> np.ndarray:
+    """The Kronecker symbol (q|n) of a prime discriminant q at every n >= 0 of ns.
+
+    Its period m is 8 for q = -4, 8, -8 and |q| otherwise. ns of at least m entries
+    takes each residue's value once and gathers; a shorter one is evaluated directly.
+    For odd |q| < 2**31 the value is the Legendre symbol (n | |q|), Euler's criterion
+    by square-and-multiply over the array, every square below 2**62; a 2-adic or
+    larger q calls kronecker per entry, at most 8 times for a 2-adic one.
+    """
+    m = abs(q) if q % 2 else 8
+    gather = len(ns) >= m
+    xs = np.arange(m) if gather else ns
+    if m == 8 or m >> 31:
+        vals = np.array([kronecker(q, x) for x in xs.tolist()], np.int8)
+    else:
+        power, a, e = np.ones(len(xs), np.int64), xs.astype(np.int64, copy=False) % m, m // 2
+        while e:
+            if e & 1:
+                power = power * a % m
+            a, e = a * a % m, e >> 1
+        vals = np.where(power == m - 1, -1, power).astype(np.int8)
+    if not gather:
+        return vals
+    # n & 7 and n - n // m * m are n % m in a tenth and half its time (numpy's // is fast)
+    return vals[ns & 7 if m == 8 else ns - ns // m * m]
 
 
-def _inert_route(system: _System, lo: int, hi: int) -> tuple[int, list[int], list | None]:
+def _keep_inert(ns: np.ndarray, prime_discs: list[frozenset[int]]) -> np.ndarray:
+    """The entries of ns, in order, at which every field's character, the product of its
+    prime discriminants' characters, is -1. Each field reads only the entries the fields
+    before it kept, so s fields cost about two evaluations over ns, not s. (np.compress
+    takes a fifth of the time of ns[mask] on a mask of scattered entries.)"""
+    for pds in prime_discs:
+        ns = np.compress(math.prod(_character(q, ns) for q in pds) < 0, ns)
+    return ns
+
+
+def _inert_route(system: _System, lo: int, hi: int) -> tuple[int, list[int]]:
     """How to sieve [lo, hi] for the primes inert in every field of an infinite system.
 
-    Those primes lie in the unit classes mod M = lcm(discs) at which every
-    character is -1: R = phi(M)/2**rank of them. Sieving only those
-    progressions takes R passes per M * 2**19 numbers; the plain sieve and a
-    character filter take one pass per 2**19. Route to whichever makes fewer
-    passes, deciding before anything M long exists. Returns (modulus,
-    residues, chars): (M, the inert classes, None), whose every sieved prime
-    is inert, or (1, [0], chars), whose primes _inert_mask(ps, chars) filters.
-    Past SIEVE_BUDGET numbers it raises SearchExhaustedError, before any sieving.
+    Those primes lie in the unit classes mod M = lcm(discs) at which every character is
+    -1: R = phi(M)/2**rank of them. Sieving only those progressions takes R passes per
+    M * 2**19 numbers; the plain sieve and a character filter take one pass per 2**19.
+    Route to whichever makes fewer passes, deciding before anything M long exists.
+    Returns (modulus, residues): (M, the inert classes), whose every sieved prime is
+    inert, or (1, [0]), the plain route, whose primes _keep_inert filters. Before any
+    sieving it raises SearchExhaustedError past SIEVE_BUDGET numbers, then the sieve's
+    DomainError for hi >= 2**62, then SearchExhaustedError past SIEVE_BUDGET base
+    numbers up to sqrt(hi).
     """
     span = hi - lo + 1
     if span > SIEVE_BUDGET:
         raise SearchExhaustedError(
             f"sieving {span} numbers is past the budget of {SIEVE_BUDGET}", bound=SIEVE_BUDGET
         )
-    discs = [fld.disc for fld in system.fields]
-    modulus = math.lcm(*discs)
+    _check_progressions(lo, hi, 1, (0,))
+    if math.isqrt(hi) > SIEVE_BUDGET:
+        raise SearchExhaustedError(
+            f"sieving the base primes up to sqrt({hi}) is past the budget of {SIEVE_BUDGET}",
+            bound=SIEVE_BUDGET,
+        )
+    modulus = math.lcm(*(fld.disc for fld in system.fields))
     units = modulus
     for p in system.ramified:
         units = units // p * (p - 1)
     classes = units >> system.rank
     passes = classes * -(-span // (modulus * _SEGMENT))
-    plain = passes > -(-span // _SEGMENT)
-    # A table costs one kronecker call per residue: either route builds one only
-    # if it holds no more residues than there are numbers to classify.
-    table_max = min(1 << 20, span)
-    chars = [(disc, character_table(disc) if disc <= table_max else None) for disc in discs]
-    if plain:
-        return 1, [0], chars
-    return modulus, np.flatnonzero(_inert_mask(np.arange(modulus), chars)).tolist(), None
+    if passes > -(-span // _SEGMENT):
+        return 1, [0]
+    return modulus, _keep_inert(np.arange(modulus), system.prime_discs).tolist()
 
 
 def _inert_blocks(system: _System, lo: int, hi: int) -> Iterator[np.ndarray]:
     """Blocks of the primes in [lo, hi] inert in every field, each ascending (see _inert_route)."""
     if system.finite:
         return
-    modulus, residues, chars = _inert_route(system, lo, hi)
-    blocks = prime_segments(lo, hi, modulus, residues)
-    if chars is None:
-        yield from blocks
-    else:
-        for ps in blocks:
-            yield ps[_inert_mask(ps, chars)]
+    modulus, residues = _inert_route(system, lo, hi)
+    for ps in prime_segments(lo, hi, modulus, residues):
+        yield _keep_inert(ps, system.prime_discs) if modulus == 1 else ps
 
 
 def _inert_count(system: _System, lo: int, hi: int) -> int:
     """How many primes _inert_blocks yields for an infinite system; progressions list none."""
-    modulus, residues, chars = _inert_route(system, lo, hi)
-    if chars is None:
+    modulus, residues = _inert_route(system, lo, hi)
+    if modulus > 1:
         return prime_count(lo, hi, modulus, residues)
-    return sum(int(np.count_nonzero(_inert_mask(ps, chars))) for ps in prime_segments(lo, hi))
+    return sum(len(_keep_inert(ps, system.prime_discs)) for ps in prime_segments(lo, hi))
 
 
 def _nonsplit_pool(system: _System, pmax: int) -> list[np.ndarray]:

@@ -11,7 +11,6 @@ import oracles
 from commcensus import arith
 from commcensus.arith import (
     PellSolution,
-    character_table,
     factorize,
     is_prime,
     is_square,
@@ -188,17 +187,6 @@ def test_kronecker_conventions():
     assert [kronecker(a, 2) for a in (1, 3, 5, 7)] == [1, -1, -1, 1]
     assert kronecker(4, 2) == 0
     assert all(kronecker(a, 1) == 1 for a in range(-5, 6))
-
-
-def test_character_table_matches_prime_disc_oracle():
-    """The table agrees with the product of prime-discriminant characters."""
-    for disc in (1, 5, 8, 12, 13, 21, 24, 40, 60, 105, 1001, 4 * 1155):
-        table = character_table(disc)
-        assert table.dtype == np.int8 and len(table) == disc
-        assert table.tolist() == oracles.chi_table(disc).tolist(), disc
-    for bad in (0, -4, 6, 7):
-        with pytest.raises(DomainError):
-            character_table(bad)
 
 
 def _sqrt_expansion(d: int) -> tuple[int, list[int]]:

@@ -19,7 +19,7 @@ import pytest
 
 import oracles
 from commcensus import arith, census, gf2, quaternion
-from commcensus.arith import is_square, kronecker
+from commcensus.arith import is_prime, is_square, kronecker
 from commcensus.census import (
     InfiniteCensusError,
     SelectivityVerdict,
@@ -39,6 +39,7 @@ from commcensus.quadratic import (
     SplitType,
     field_from_d,
     order_from_disc,
+    prime_disc_vector,
     splitting,
 )
 from commcensus.quaternion import AlgebraClass, RamSet
@@ -578,28 +579,69 @@ def test_finite_census_past_int64():
         assert listed(fac, top) == _brute_even_sets((fac + 1).tolist(), top), top
 
 
-def _tables_built(monkeypatch) -> list[int]:
-    """Record the disc of every character_table the census builds from here on."""
-    built = []
-    character_table = census.character_table
-    def recording(disc):
-        built.append(disc)
-        return character_table(disc)
+def test_character_is_the_product_of_prime_disc_characters():
+    """For every fundamental D < 10**4, the product of _character over D's prime
+    discriminants is kronecker(D, n). A fixed sample of n is checked on both sides of
+    the gather rule: in arrays of 2 entries, fewer than any period m (3, |q| or 8), so
+    every factor is evaluated directly, and at the head of an array padded past every
+    m, so every factor is gathered from its residues."""
+    rng = random.Random(23)
+    sample = [0, 1, 2, 3, 8] + rng.sample(range(9, 10**12), 15)
+    pad = np.arange(10**4, dtype=np.int64)
+    discs = 0
+    for d in range(2, 10**4):
+        fld = field_from_d(d) if oracles.squarefree_reduce(d) == d else None
+        if fld is None or fld.disc >= 10**4:
+            continue
+        discs += 1
+        pds = prime_disc_vector(fld)
+        want = [kronecker(fld.disc, n) for n in sample]
+        short = np.array(sample, np.int64).reshape(-1, 2)
+        direct = [math.prod(census._character(q, ns) for q in pds) for ns in short]
+        assert np.concatenate(direct).tolist() == want, fld.disc
+        padded = np.concatenate([np.array(sample, np.int64), pad])
+        gathered = math.prod(census._character(q, padded) for q in pds)
+        assert gathered[: len(sample)].tolist() == want, fld.disc
+    assert discs == 3043
 
-    monkeypatch.setattr(census, "character_table", recording)
-    return built
+
+def test_character_of_a_large_prime_disc_is_legendre():
+    """Euler's criterion stays exact up to |q| < 2**31 (every square below 2**62) and
+    kronecker takes over past it: prime discriminants above 2**20, on either side of
+    2**31 and above 2**40, checked on primes up to 2**61 - 1."""
+    rng = random.Random(31)
+    primes = [2, 3, 2**31 - 1, 2147483659, 2**61 - 1]
+    while len(primes) < 60:
+        n = rng.randrange(3, 2**61, 2)
+        if is_prime(n):
+            primes.append(n)
+    ns = np.array(primes, np.int64)
+    for q in (-1048583, -(2**31 - 1), -2147483659, -1099511627791):
+        assert is_prime(-q) and q % 4 == 1
+        assert census._character(q, ns).tolist() == [oracles.legendre(p, -q) for p in primes], q
 
 
-def test_character_table_only_where_it_pays(monkeypatch):
-    """A disc-long table costs one kronecker call per residue. The plain sieve's filter
-    builds it only for a disc no larger than the span it classifies; below that it
-    calls kronecker per prime. The progression route classifies the M residues and
-    keeps its tables.
+def _kronecker_calls(monkeypatch) -> list[tuple[int, int]]:
+    """Record the arguments of every kronecker call the census makes from here on."""
+    calls = []
 
-    Trace 1021 (disc 1,042,437 <= 2**20) at V = 100 builds no table, as trace 1025
-    (disc 1,050,621 > 2**20) never does; both have 26 classes.
+    def recording(a, n):
+        calls.append((a, n))
+        return kronecker(a, n)
+
+    monkeypatch.setattr(census, "kronecker", recording)
+    return calls
+
+
+def test_kronecker_only_for_a_two_adic_character(monkeypatch):
+    """Below 2**31 an odd prime discriminant's character is Euler's criterion, so the
+    census calls kronecker only for a 2-adic one, over at most its 8 residues.
+
+    Trace 1025 (disc 1,050,621, every prime disc odd) makes no call; traces 1021 and
+    1025 both have 26 classes at V = 100. Disc 12's pool (-4 and -3) calls it for -4
+    alone, and so does the traces 4,5 pool, which classifies the residues mod 84.
     """
-    built = _tables_built(monkeypatch)
+    calls = _kronecker_calls(monkeypatch)
     for trace in (1021, 1025):
         spec = spectrum_from_inputs(traces=[trace])
         (fld,) = spec.fields()
@@ -607,18 +649,19 @@ def test_character_table_only_where_it_pays(monkeypatch):
         pool = oracles.nonsplit_scan([fld.disc], n + 1)
         want = len(oracles.even_subset_products([p - 1 for p in pool], n))
         assert pi_of_V(spec, 100)[0] == want == 26, trace
-    assert built == []
-    # disc 12 on the plain route: a span of 11 numbers takes kronecker, 12 the table
+    assert fld.disc == 1_050_621 and all(q % 2 for q in prime_disc_vector(fld))
+    assert calls == []
     system = census._system(spectrum_from_inputs(traces=[4]).fields())
-    for pmax, tables in ((12, []), (13, [12])):
-        built.clear()
+    for pmax in (12, 13):
+        calls.clear()
         assert census._merged(census._nonsplit_pool(system, pmax)).tolist() == oracles.nonsplit_scan([12], pmax)
-        assert built == tables, pmax
+        assert {a for a, _ in calls} == {-4} and len(calls) <= 8, pmax
     moduli = _sieve_moduli(monkeypatch)
-    built.clear()
+    calls.clear()
     fields = spectrum_from_inputs(traces=[4, 5]).fields()
     census._nonsplit_pool(census._system(fields), 3_200_000)
-    assert set(moduli) == {84} and sorted(built) == [12, 21]
+    assert set(moduli) == {84}
+    assert sorted(n for _, n in calls) == list(range(8)) and {a for a, _ in calls} == {-4}
 
 
 def test_sieve_budget_is_checked_before_sieving(monkeypatch):
@@ -651,6 +694,24 @@ def test_sieve_budget_is_checked_before_sieving(monkeypatch):
         assert info.value.bound == top - 1
     # a finite system sieves nothing, so no budget applies
     assert pi_of_V(spectrum_from_inputs(radicands=[3, 17, 51]), 1e30)[0] == 2
+
+
+def test_base_sieve_past_the_budget_is_refused(monkeypatch):
+    """SIEVE_BUDGET bounds the base primes up to sqrt(hi) too. With the budget at 1000, a
+    window of 1000 numbers with isqrt(hi) = 1000 is counted; one with isqrt(hi) = 1001
+    raises SearchExhaustedError, carrying the budget, before the base sieve is built."""
+    pair = (field_from_d(3), field_from_d(17))
+    monkeypatch.setattr(census, "SIEVE_BUDGET", 1000)
+    rep = verify_chebotarev_interval(pair, 1_001_001, 999)  # hi = 1001**2 - 1
+    assert rep.actual == _inert_recount([12, 17], 1_001_001, 1_002_000)
+
+    def no_base(hi, modulus):
+        raise AssertionError("the base sieve must not be built")
+
+    monkeypatch.setattr(arith, "_sieve_base", no_base)
+    with pytest.raises(SearchExhaustedError) as info:
+        verify_chebotarev_interval(pair, 1_001_002, 999)  # hi = 1001**2
+    assert info.value.bound == 1000
 
 
 def _rebind(monkeypatch, original, replacement) -> None:
@@ -1282,8 +1343,10 @@ def _inert_recount(discs, lo, hi) -> int:
 def test_chebotarev_recount_on_both_routes(monkeypatch):
     """(3,) sieves the 2 classes of inert primes mod 12; (3, 1000003) filters.
 
-    Q(sqrt 1000003) has discriminant 4000012 > 2**20, so its classes mod
-    12000036 are never listed, and its ramified prime lies inside the range.
+    Q(sqrt 1000003) has discriminant 4000012, so its inert classes mod 12000036
+    outnumber the plain sieve's passes and are never listed; its character -1000003
+    is longer than a block, so Euler's criterion runs on the primes themselves, and
+    its ramified prime lies inside the range.
     """
     moduli = _sieve_moduli(monkeypatch)
     rep = verify_chebotarev_interval((field_from_d(3),), 1_500_000, 1_500_000)
