@@ -636,7 +636,9 @@ def construct_family(n: int, search_bound: int = FAMILY_SEARCH_BOUND) -> FamilyR
     Q(sqrt(p1)), Q(sqrt(p1...pm)), Q(sqrt(p2...pm)) leave {p1, ..., pm}
     nonsplit; a fourth field chosen with p1 split and the others inert
     trims the set to {p2, ..., pm}. All searches are smallest-first, so
-    the family is deterministic.
+    the family is deterministic. The primes are tested one by one; the
+    fourth field's radicand is searched a block of d at a time through
+    the census's character evaluator.
     """
     n, search_bound = _check_integer(n, "n"), _check_integer(search_bound, "search_bound")
     if n < 0:
@@ -661,12 +663,19 @@ def construct_family(n: int, search_bound: int = FAMILY_SEARCH_BOUND) -> FamilyR
     l1, l2, l3 = field_from_d(p1), field_from_d(d2), field_from_d(d3)
     l4 = None
     rest = primes[1:]
-    for d in range(2, search_bound + 1):
-        # (d|p) = (disc|p) at these odd primes. The first d to pass is
-        # squarefree: d = s*f**2 passes only if its squarefree part s < d does.
-        if kronecker(d, p1) == 1 and all(kronecker(d, p) == -1 for p in rest):
-            l4 = field_from_d(d)
+    # (d|p) = (disc|p) at these odd primes, each a prime discriminant, so the census's
+    # characters filter d in ascending blocks. The first is as long as the longest period,
+    # primes[-1], so each block's first character gathers from a residue table; later blocks
+    # double, up to _SEGMENT. The first d to pass is squarefree: d = s*f**2 passes only if
+    # its squarefree part s < d does.
+    lo, size = 2, primes[-1]
+    while lo <= search_bound:
+        ds = np.arange(lo, min(lo + size, search_bound + 1))
+        ds = _keep_inert(np.compress(_character(p1, ds) > 0, ds), [{p} for p in rest])
+        if len(ds):
+            l4 = field_from_d(int(ds[0]))
             break
+        lo, size = lo + size, min(2 * size, _SEGMENT)
     if l4 is None:
         raise SearchExhaustedError(
             f"no fourth field with the required splitting below {search_bound}",

@@ -174,10 +174,21 @@ def test_count_algebras_infinite_system_raises():
 
 
 def test_field_system_validation():
-    with pytest.raises(DomainError):
-        nonsplit_is_finite(())
-    with pytest.raises(DomainError):
-        nonsplit_is_finite((field_from_d(3), field_from_d(12)))  # same field twice
+    """Every entry that reads a field system refuses no field and a field given twice."""
+    entries = (
+        nonsplit_is_finite,
+        nonsplit_primes,
+        count_algebras,
+        lambda fields: pi_of_V(fields, 10.0),
+        lambda fields: verify_chebotarev_interval(fields, 1000, 100),
+    )
+    for fields, message in (
+        ([], "need at least one field"),
+        ([field_from_d(3), field_from_d(12)], "fields must be pairwise distinct"),  # one field
+    ):
+        for entry in entries:
+            with pytest.raises(DomainError, match=message):
+                entry(fields)
 
 
 def test_pi_of_v_matched_example():
@@ -1225,6 +1236,20 @@ def test_construct_family_smallest_fourth_field():
                 break
         assert fam.d4 == d, n
         assert fam.fields[3] == field_from_d(d)
+
+
+def test_construct_family_fourth_field_past_the_first_blocks():
+    """d4 for n = 9..15 at the default bound and for n = 16 at 2 * 10**6, where the search
+    runs through many doubling blocks; each is squarefree, split at p1, inert at the rest."""
+    want = {9: 4229, 10: 4229, 11: 4229, 12: 4229, 13: 4229, 14: 493_093, 15: 718_513}
+    cases = [(n, census.FAMILY_SEARCH_BOUND, d4) for n, d4 in want.items()]
+    for n, bound, d4 in [*cases, (16, 2 * 10**6, 1_733_797)]:
+        fam = construct_family(n, bound)
+        assert fam.d4 == d4, n
+        disc = d4 if d4 % 4 == 1 else 4 * d4
+        assert oracles.squarefree_reduce(d4) == d4
+        assert oracles.split_at(disc, fam.primes[0]) == 1, n
+        assert all(oracles.split_at(disc, p) == -1 for p in fam.primes[1:]), n
 
 
 def test_construct_family_brute_prime_scan():

@@ -30,9 +30,15 @@ def run(capsys, *argv):
     return code, out
 
 
+def _reject_constant(token):
+    raise ValueError(f"{token} is not valid JSON")
+
+
 def run_json(capsys, *argv):
+    """The exit code and the document of a run, which must be strict JSON: NaN and
+    Infinity are not JSON tokens."""
     code, out = run(capsys, *argv)
-    return code, json.loads(out)
+    return code, json.loads(out, parse_constant=_reject_constant)
 
 
 def test_count_radicands_example(capsys):
@@ -339,8 +345,7 @@ def test_bad_typed_flag_is_domain_error(capsys):
         (("chebotarev", "--radicands", "3", "--X", "1000", "--Y", "y"), "--Y", "'y'"),
         (("selectivity", "--ramified", "2,3", "--order-disc", "d"), "--order-disc", "'d'"),
     ):
-        code, out = run(capsys, *argv)
-        doc = json.loads(out, parse_constant=_reject_constant)
+        code, doc = run_json(capsys, *argv)
         assert (code, doc["command"], doc["error"]["type"]) == (2, argv[0], "DomainError"), argv
         assert flag in doc["error"]["message"] and token in doc["error"]["message"], argv
 
@@ -369,10 +374,6 @@ def test_volume_rejects_norms_below_two(capsys):
         assert doc["error"]["message"] == f"prime norm {norm} is not a prime power"
 
 
-def _reject_constant(token):
-    raise ValueError(f"{token} is not valid JSON")
-
-
 def test_non_finite_floats_are_domain_errors(capsys):
     """NaN, infinite or negative tol, a non-finite zeta_k(-1) and a coarea past the float range.
 
@@ -390,8 +391,7 @@ def test_non_finite_floats_are_domain_errors(capsys):
         ("count", "--radicands", "3,17,51", "--tol", "inf"),
         ("count", "--radicands", "3,17,51", "--tol", "-1"),
     ):
-        code, out = run(capsys, *argv)
-        doc = json.loads(out, parse_constant=_reject_constant)
+        code, doc = run_json(capsys, *argv)
         assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
 
 
@@ -603,9 +603,10 @@ def test_class_table_truncation(capsys):
 def test_argparse_rejects_missing_required(capsys):
     """A missing required flag or an unknown command prints a strict-JSON DomainError
     document and exits 2, naming the command when argparse got that far."""
-    code, doc = run_json(capsys, "pi", "--radicands", "3")  # --volume is required
-    assert (code, doc["command"], doc["error"]["type"]) == (2, "pi", "DomainError")
-    assert doc["error"]["message"] == "the following arguments are required: --volume"
+    for argv in (("pi", "--radicands", "3"), ("pi", "--traces", "4")):  # --volume is required
+        code, doc = run_json(capsys, *argv)
+        assert (code, doc["command"], doc["error"]["type"]) == (2, "pi", "DomainError"), argv
+        assert doc["error"]["message"] == "the following arguments are required: --volume"
     code, doc = run_json(capsys, "nonsense")
     assert (code, doc["command"], doc["error"]["type"]) == (2, None, "DomainError")
     assert "invalid choice: 'nonsense'" in doc["error"]["message"]
@@ -621,8 +622,7 @@ def test_usage_errors_are_documents(capsys):
          "unrecognized arguments: --extra 1"),
         ((), None, "the following arguments are required: command"),
     ):
-        code, out = run(capsys, *argv)
-        doc = json.loads(out, parse_constant=_reject_constant)
+        code, doc = run_json(capsys, *argv)
         assert (code, doc["command"], doc["error"]["type"]) == (2, command, "DomainError"), argv
         assert doc["error"]["message"].startswith(message), argv
     with pytest.raises(SystemExit) as info:
@@ -639,8 +639,7 @@ def test_errors_stay_json_under_csv(capsys):
         ("pi", "--format", "csv", "--traces", "4", "--volume", "abc"),
         ("count", "--radicands", "3,4", "--format", "csv"),
     ):
-        code, out = run(capsys, *argv)
-        doc = json.loads(out, parse_constant=_reject_constant)
+        code, doc = run_json(capsys, *argv)
         assert (code, doc["error"]["type"]) == (2, "DomainError"), argv
 
 
@@ -661,9 +660,8 @@ def test_parser_is_built_once_and_left_as_it_was(capsys):
 
 
 def test_domain_error_logged_not_printed(capsys, caplog):
-    code = main(["count", "--traces", "2"])
+    code, _ = run_json(capsys, "count", "--traces", "2")  # stdout stays a clean document
     assert code == 2
-    json.loads(capsys.readouterr().out)  # stdout stays a clean document
     assert any("domain error" in rec.message for rec in caplog.records)
 
 

@@ -1,11 +1,13 @@
 """Golden CLI corpus: the exit code and stdout of each command, byte for byte.
 
-tests/golden/<case>.<format>.out holds "exit <code>" on its first line and
-the command's stdout after it, for every case below in json and in csv.
-A success's csv file is its json document's leaves as path,value rows; an
-error's csv file is its json file, since an error document is always JSON.
-A changed byte is either a contract change or a defect. A contract change
-regenerates the files with
+tests/golden/<case>.json.out holds "exit <code>" on its first line and the
+command's json stdout after it, for every case below. It is the one stored
+expectation of a case, and every other check is derived from it: the csv run
+prints the status line and the document's leaves as path,value rows (an
+error's csv run prints the json file, since an error document is always
+JSON), each document is strict JSON with distinct leaf paths, and every
+README command is a case. A changed byte is either a contract change or a
+defect. A contract change regenerates the files with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -18,6 +20,7 @@ import csv
 import io
 import json
 import pathlib
+import shlex
 
 import pytest
 
@@ -25,6 +28,7 @@ from commcensus import arith
 from commcensus.cli import main
 
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parent.parent / "README.md"
 FORMATS = ("json", "csv")
 
 # case -> (argv, RHO_BUDGET for the run, or None for the default)
@@ -76,19 +80,13 @@ def render(argv: list[str], rho_budget: int | None = None) -> str:
     return f"exit {code}\n{out.getvalue()}"
 
 
-def _path(name: str, fmt: str) -> pathlib.Path:
-    return GOLDEN / f"{name}.{fmt}.out"
+def _path(name: str) -> pathlib.Path:
+    return GOLDEN / f"{name}.json.out"
 
 
 def _run(name: str, fmt: str) -> str:
     argv, rho_budget = CASES[name]
     return render([*argv, "--format", fmt], rho_budget)
-
-
-@pytest.mark.parametrize("fmt", FORMATS)
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_cli_output_matches_golden(name, fmt):
-    assert _run(name, fmt) == _path(name, fmt).read_bytes().decode()
 
 
 def _flatten(value, path: str = "") -> list[list[str]]:
@@ -109,24 +107,54 @@ def _flatten(value, path: str = "") -> list[list[str]]:
     return [[path, json.dumps(value)]]
 
 
+def _as_csv(golden: str) -> str:
+    """The csv run a json golden file implies: its status line, then a path,value header
+    and the document's leaves; an error's json file as it is."""
+    status, _, document = golden.partition("\n")
+    if status != "exit 0":
+        return golden
+    table = io.StringIO()
+    rows = [["path", "value"], *_flatten(json.loads(document))]
+    csv.writer(table, lineterminator="\n").writerows(rows)
+    return f"{status}\n{table.getvalue()}"
+
+
+@pytest.mark.parametrize("fmt", FORMATS)
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(name, fmt):
+    golden = _path(name).read_bytes().decode()
+    assert _run(name, fmt) == (golden if fmt == "json" else _as_csv(golden))
+
+
+def _reject_constant(token):
+    raise ValueError(f"{token} is not JSON")
+
+
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_csv_golden_is_the_json_golden_flattened(name):
-    json_text = _path(name, "json").read_text()
-    csv_text = _path(name, "csv").read_text()
-    status, _, document = json_text.partition("\n")
-    if status != "exit 0":
-        assert csv_text == json_text
-        return
-    status_csv, _, table = csv_text.partition("\n")
-    rows = list(csv.reader(io.StringIO(table)))
-    assert status_csv == status
-    assert rows == [["path", "value"], *_flatten(json.loads(document))]
-    assert len({path for path, _ in rows}) == len(rows)
+    """The csv expectation is the json golden's document flattened, so that document must
+    be strict JSON (NaN and Infinity are not JSON tokens) with no two leaves on one path."""
+    document = _path(name).read_text().partition("\n")[2]
+    paths = [path for path, _ in _flatten(json.loads(document, parse_constant=_reject_constant))]
+    assert len(set(paths)) == len(paths)
+
+
+def test_readme_cli_examples_are_cases():
+    """Each README line that starts with "commcensus " is, split as a shell splits it,
+    the argv of a case, so the golden files check every README example's output."""
+    examples = [
+        shlex.split(line)[1:] for line in README.read_text().splitlines()
+        if line.startswith("commcensus ")
+    ]
+    argvs = [argv for argv, _ in CASES.values()]
+    assert examples
+    for argv in examples:
+        assert argv in argvs, shlex.join(["commcensus", *argv])
 
 
 def test_golden_files_are_the_cases():
-    """No case lacks its files, and no file outlives its case."""
-    expected = sorted(_path(name, fmt).name for name in CASES for fmt in FORMATS)
+    """No case lacks its file, and no file outlives its case."""
+    expected = sorted(_path(name).name for name in CASES)
     assert sorted(p.name for p in GOLDEN.iterdir()) == expected
 
 
@@ -135,5 +163,4 @@ if __name__ == "__main__":
     for stale in GOLDEN.glob("*.out"):
         stale.unlink()
     for name in CASES:
-        for fmt in FORMATS:
-            _path(name, fmt).write_bytes(_run(name, fmt).encode())
+        _path(name).write_bytes(_run(name, "json").encode())
