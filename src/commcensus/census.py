@@ -7,8 +7,9 @@ linear-algebra question on discriminant characters; when finite with m
 nonsplit primes there are exactly 2**(m-1) classes (even subsets), all but
 the empty one division algebras.
 
-A listing is a ClassTable: the pool's primes and the sorted index rows of the
-even sets. It holds no class object; each class is built when it is read.
+A listing is a ClassTable: the pool's primes and, for each even set by coarea, its
+odd node of the walk and last index. It holds no class object; each class is built
+when it is read.
 """
 
 from __future__ import annotations
@@ -16,10 +17,10 @@ from __future__ import annotations
 import functools
 import math
 import operator
+from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -55,9 +56,9 @@ __all__ = [
 
 # Most classes a listing sorts, so most odd sets a walk holds (each has an even child); a finite
 # census whose 2**(m-1) classes all lie within the cutoff is refused on that size before any
-# walk. A ClassTable holds an index row per class: pi_of_V peaks near 95 bytes of RSS a class
-# (commcensus pi --traces 4 --volume 1.5e7: 2,078,722 classes, 225 MB with the interpreter),
-# under 300 MB at the budget, where a finite count takes more (22 nonsplit primes: 486 MB).
+# walk. A ClassTable holds a node and a last index per class: pi_of_V peaks near 40 bytes of RSS
+# a class (commcensus pi --traces 4 --volume 1.5e7: 2,078,722 classes, 110 MB with the interpreter),
+# under 200 MB at the budget; a finite count's Python-int coareas take more (22 primes: 419 MB).
 CLASS_BUDGET = 1 << 21
 
 # Most numbers one call sieves for inert primes, and most base numbers up to sqrt(hi) it
@@ -194,29 +195,32 @@ def _finite(system: _System) -> tuple[int, ...]:
 class ClassTable(Sequence):
     """A listing's classes by ascending coarea, read-only, each built when it is read.
 
-    Row i of rows holds the indices into primes of class i's ramified primes, ascending
-    and padded with -1. A slice is a table; == compares with any sequence of classes,
-    item by item, and hash is that of the tuple of the classes.
+    Class i ramifies at the primes of indices chosen[node[i]] + (last[i],): an odd set of
+    the walk (_Walk.chosen) and the index of its even child. node[i] = -1 is the empty set.
+    A slice is a table; == compares with any sequence of classes, item by item, and hash
+    is that of the tuple of the classes.
     """
 
-    def __init__(self, primes: list[int], rows: np.ndarray):
-        self._primes = primes
-        self._rows = rows
+    def __init__(self, primes: list[int], chosen: list[tuple[int, ...]], node, last):
+        self._primes, self._chosen, self._node, self._last = primes, chosen, node, last
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return len(self._node)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
-            return ClassTable(self._primes, self._rows[index])
-        return self._build(self._rows[operator.index(index)])
+            return ClassTable(self._primes, self._chosen, self._node[index], self._last[index])
+        index = operator.index(index)
+        return self._build(self._node[index], self._last[index])
 
     def __iter__(self) -> Iterator[AlgebraClass]:
-        return map(self._build, self._rows)  # row by row: no list of every row's indices
+        return map(self._build, self._node, self._last)  # class by class: no list of a column
 
-    def _build(self, row: np.ndarray) -> AlgebraClass:
+    def _build(self, node: np.integer, last: np.integer) -> AlgebraClass:
+        if node < 0:
+            return _unchecked_class(())
         primes = self._primes
-        return _unchecked_class(tuple([primes[j] for j in row.tolist() if j >= 0]))
+        return _unchecked_class(tuple([primes[j] for j in self._chosen[node]] + [primes[last]]))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Sequence):
@@ -421,42 +425,56 @@ def _ram_factors(system: _System, top: int) -> list[np.ndarray]:
     return blocks
 
 
-def _odd_nodes(fac: list[int], top: int) -> tuple[list[int], list[int], list[tuple[int, ...]]]:
-    """Odd-size sets S of factors with an even child S + {j} within the cutoff, as columns in
-    walk order: start (the children are the j >= start with fac[j] <= top // prod(S)), prod(S)
-    and the indices of S. Walks an explicit stack of even sets (a recursive closure would leave
-    reference cycles behind), stacking one only if some odd child of it has an even child too.
+def _odd_nodes(fac: list[int], top: int) -> tuple[array | list, ...]:
+    """Odd-size sets S of factors with an even child S + {j} within the cutoff, as the columns
+    of _Walk in preorder; the integer columns are C int arrays, holding no Python int per entry.
     Past CLASS_BUDGET sets S, each with its own even child, it raises SearchExhaustedError."""
+    cols = (array("i"), [], [], array("i"), array("i"), array("i"))
+    _descend(fac, top, 0, 1, (), cols)
+    return cols
+
+
+def _descend(fac: list[int], top: int, start: int, prod: int, even: tuple[int, ...], cols) -> None:
+    """Append the odd sets even + {k}, k >= start, to cols: k ascending, each before its subtree.
+    The children of S with odd descendants are a prefix of its children, as the j loop stops at
+    its first failure: each is a one-child chunk just before its subtree, and one chunk after
+    them holds the rest. Recursive at module level: a closure would leave reference cycles."""
+    starts, prods, chosen, nodes, firsts, rests = cols
     n = len(fac)
-    starts, prods, chosen = [], [], []
-    stack: list[tuple[int, int, tuple[int, ...]]] = [(0, 1, ())]
-    while stack:
-        start, prod, even = stack.pop()
-        for k in range(start, n - 1):
-            odd = prod * fac[k]
-            if odd * fac[k + 1] > top:
-                break
-            starts.append(k + 1)
-            prods.append(odd)
-            chosen.append(even + (k,))
-            for j in range(k + 1, n - 2):
-                nxt = odd * fac[j]
-                if nxt * fac[j + 1] * fac[j + 2] > top:
-                    break
-                stack.append((j + 1, nxt, chosen[-1] + (j,)))
-        if len(chosen) > CLASS_BUDGET:
-            raise SearchExhaustedError(f"more than {CLASS_BUDGET} classes", bound=CLASS_BUDGET)
-    return starts, prods, chosen
+    for k in range(start, n - 1):
+        odd = prod * fac[k]
+        if odd * fac[k + 1] > top:
+            break
+        node = len(chosen)
+        starts.append(k + 1)
+        prods.append(odd)
+        chosen.append(even + (k,))
+        j = k + 1
+        while j < n - 2 and odd * fac[j] * fac[j + 1] * fac[j + 2] <= top:
+            nodes.append(node)
+            firsts.append(j)
+            _descend(fac, top, j + 1, odd * fac[j], chosen[node] + (j,), cols)
+            j += 1
+        rests.append(len(nodes))
+        nodes.append(node)
+        firsts.append(j)
+    if len(chosen) > CLASS_BUDGET:
+        raise SearchExhaustedError(f"more than {CLASS_BUDGET} classes", bound=CLASS_BUDGET)
 
 
 class _Walk(NamedTuple):
-    """One walk's odd nodes S, in walk order: chosen[i] holds the indices of S,
-    prods[i] = prod(S), and starts[i] is the first j of an even child S + {j}."""
+    """One walk's odd nodes S, in preorder: chosen[i] holds the indices of S, prods[i] = prod(S),
+    and starts[i] is the first j of an even child S + {j}. Chunk c holds the children of node
+    nodes[c] from j = firsts[c] on: one, or at the positions rests all within the cutoff. In
+    order, they give every nonempty even set ascending by its indices, a prefix first."""
 
     top: int
     starts: np.ndarray
     prods: np.ndarray  # fac's dtype
     chosen: list[tuple[int, ...]]
+    nodes: np.ndarray
+    firsts: np.ndarray
+    rests: np.ndarray
 
 
 def _walk(blocks: list[np.ndarray], top: int) -> _Walk:
@@ -464,7 +482,7 @@ def _walk(blocks: list[np.ndarray], top: int) -> _Walk:
 
     blocks are the disjoint ascending blocks of _ram_factors, int64 or object alike, and
     fac is their merge. The walk is handed only the head fac[:K + 1], K = #{f <= isqrt(top)}.
-    Every factor is at least 1, so a k that passes its check in _odd_nodes has
+    Every factor is at least 1, so a k that passes its check in _descend has
     fac[k] * fac[k + 1] <= top, and a j has fac[j + 1] * fac[j + 2] <= top. The smaller of
     two such factors is at most isqrt(top): k < K and j + 1 < K. The k and j loops over the
     head end just where the walk over all of fac would stop, and the last factor either
@@ -473,8 +491,9 @@ def _walk(blocks: list[np.ndarray], top: int) -> _Walk:
     """
     ends = [int(np.searchsorted(block, math.isqrt(top), "right")) for block in blocks]
     head = _merged([block[:end + 1] for block, end in zip(blocks, ends)])[:sum(ends) + 1]
-    starts, prods, chosen = _odd_nodes(head.tolist(), top)
-    return _Walk(top, np.array(starts, np.intp), np.array(prods, head.dtype), chosen)
+    starts, prods, chosen, *chunks = _odd_nodes(head.tolist(), top)
+    starts, *chunks = (np.frombuffer(col, np.intc) for col in (starts, *chunks))
+    return _Walk(top, starts, np.array(prods, head.dtype), chosen, *chunks)
 
 
 def _spans(blocks: list[np.ndarray], walk: _Walk, cutoff: int) -> np.ndarray:
@@ -496,30 +515,22 @@ def _sorted_even_sets(fac: np.ndarray, walk: _Walk, spans: np.ndarray) -> ClassT
     """Every even set R of the primes f + 1 with prod(f) <= walk.top, ascending by (prod, R).
 
     fac is the merge of the blocks walked (_merged); spans are the nodes' _spans at walk.top.
-    One lexsort orders every child: by prod, then by the indices of R, padded with -1 so
-    that a prefix sorts first. Equal coareas are common (trace 4 at V = 3e5: 22,966 of
-    47,793 classes share one), so prod alone, even stably sorted, is not the order. The
-    sorted index rows, the empty set first, are the table, filled a column at a time once
-    the per-child arrays are freed, so no whole-table temporary exists. No class is built here.
+    The walk's chunks, expanded, give the node and the last index of every nonempty R,
+    ascending by R, so one stable sort by prod gives (prod, R). Equal coareas are common
+    (trace 4 at V = 3e5: 22,966 of 47,793 classes share one), so the tie order matters.
+    The sorted columns, the empty set first, are the table; no class is built here.
     """
-    primes = (fac + 1).tolist()
-    starts, prods, chosen = walk.starts, walk.prods, walk.chosen
-    if not chosen:
-        return ClassTable(primes, np.empty((int(walk.top >= 1), 0), np.int8))
-    # the node and the last index of every child, nodes in walk order
-    node = np.repeat(np.arange(len(chosen)), spans)
-    child = np.arange(len(node)) - np.repeat(np.cumsum(spans) - spans - starts, spans)
-    # row t holds index t of each R: its node's head, then the child, then -1
-    heads = np.array(list(zip_longest(*chosen, fillvalue=-1)), np.min_scalar_type(-len(fac)))
-    keys = np.full((len(heads) + 1, len(node)), -1, heads.dtype)
-    keys[:-1] = heads[:, node]
-    keys[np.fromiter(map(len, chosen), np.intp, len(chosen))[node], np.arange(len(node))] = child
-    order = np.lexsort((*keys[::-1], prods[node] * fac[child]))
-    del heads, node, child
-    rows = np.full((len(order) + 1, len(keys)), -1, keys.dtype)
-    for t, key in enumerate(keys):
-        rows[1:, t] = key[order]
-    return ClassTable(primes, rows)
+    lengths = np.ones(len(walk.nodes), np.intp)
+    lengths[walk.rests] = (walk.starts + spans)[walk.nodes[walk.rests]] - walk.firsts[walk.rests]
+    index_type = np.min_scalar_type(-len(fac) - 1)  # holds -1, the empty set's, for no fac too
+    node = np.repeat(walk.nodes, lengths)
+    last = np.arange(len(node)) - np.repeat(np.cumsum(lengths) - lengths - walk.firsts, lengths)
+    last = last.astype(index_type)
+    order = np.argsort(walk.prods[node] * fac[last], kind="stable")
+    empty = int(walk.top >= 1)
+    node = np.concatenate([np.full(empty, -1, node.dtype), node[order]])
+    last = np.concatenate([np.full(empty, -1, index_type), last[order]])
+    return ClassTable((fac + 1).tolist(), walk.chosen, node, last)
 
 
 def _check_class_budget(count: int) -> None:

@@ -419,6 +419,49 @@ def test_even_ram_set_counter_against_brute_force(monkeypatch):
                 assert all(type(p) is int for R in rams for p in R), (pool, c, dtype)
 
 
+def _expanded_chunks(walk, spans) -> list[tuple[int, ...]]:
+    """The walk's chunks expanded in order, each child as its tuple of indices: one child
+    a chunk, or at the positions rests every child up to the node's last within spans."""
+    rests = set(walk.rests.tolist())
+    sets = []
+    for c, (node, first) in enumerate(zip(walk.nodes.tolist(), walk.firsts.tolist())):
+        end = int(walk.starts[node] + spans[node]) if c in rests else first + 1
+        sets += [walk.chosen[node] + (j,) for j in range(first, end)]
+    return sets
+
+
+def test_walk_yields_the_even_sets_in_lexicographic_order():
+    """Expanded in order, the walk's chunks give every nonempty even set with prod <= N once,
+    in strictly ascending lexicographic order of its tuple of indices, a prefix before its
+    extensions: the order in which the listing breaks ties of prod, since it sorts by prod
+    alone, stably. Seeded pools of up to 12 primes, with and without p = 2 (factor 1), as
+    int64 and as object arrays, at cutoffs on and one either side of a subset product. The
+    listing sorted off the chunks is in (prod, R) order, and holds up to 2**11 classes, where
+    an unstable sort breaks ties of prod (2 * 12 = 4 * 6: {3, 13} and {5, 7}, say)."""
+    rng = random.Random(39)
+    primes = oracles.trial_primes(3, 120)
+    for trial in range(30):
+        pool = [2] * (trial % 2) + sorted(rng.sample(primes, rng.randint(0, 12)))
+        fac = [p - 1 for p in pool]
+        hit = math.prod(rng.sample(fac, 2 * rng.randint(0, len(fac) // 2)))
+        for top in (hit - 1, hit, hit + 1):
+            brute = sorted(
+                sub
+                for k in range(2, len(fac) + 1, 2)
+                for sub in itertools.combinations(range(len(fac)), k)
+                if math.prod(fac[i] for i in sub) <= top
+            )
+            for dtype in (np.int64, object):
+                arr = np.array(fac, dtype=dtype)
+                walk = census._walk([arr], top)
+                spans = census._spans([arr], walk, top)
+                sets = _expanded_chunks(walk, spans)
+                assert all(a < b for a, b in zip(sets, sets[1:])), (pool, top, dtype)
+                assert sets == brute, (pool, top, dtype)
+                listed = census._sorted_even_sets(arr, walk, spans)
+                assert [c.ram.finite_primes for c in listed] == _brute_even_sets(pool, top), (pool, top, dtype)
+
+
 def _check_block_counts(blocks, top: int, cutoffs: list[int], counts: list[int]) -> None:
     """The pool's blocks count as their merge does, and as counts says: one walk at top
     over the blocks equals one over the merge, and at each cutoff pi_pool summed over
@@ -939,6 +982,35 @@ def test_class_table_is_a_read_only_sequence(finite):
         assert copy == classes and hash(copy) == hash(classes), proto
 
 
+def test_class_table_reads_each_class_off_its_node_and_last_index():
+    """A table stores a class as its odd node of the walk and the index of its even child,
+    the empty set as node -1. Every way of reading builds the brute-force classes: negative
+    indices, the last class, slices of slices, stepped slices, == and hash with a list.
+    A cutoff of 0 lists no class; a cutoff >= 1 with no odd node (no two factors within it,
+    or no factor at all) lists the matrix algebra alone."""
+    pool = [2, 3, 5, 7, 11, 13, 17, 19]
+    fac = np.array([p - 1 for p in pool])
+    walk = census._walk([fac], 2000)
+    tab = census._sorted_even_sets(fac, walk, census._spans([fac], walk, 2000))
+    want = [AlgebraClass(RamSet(R)) for R in _brute_even_sets(pool, 2000)]
+    n = len(want)
+    assert n > 20 and list(tab) == want and tab == want and hash(tab) == hash(tuple(want))
+    assert tab[-1] == want[-1] and tab[0] == want[0] == AlgebraClass(RamSet(()))
+    assert [tab[i] for i in range(-n, 0)] == want
+    for outer, inner in ((slice(3, -2), slice(1, None, 2)), (slice(None, None, -3), slice(2, 9)), (slice(5, None), slice(None, None, -1))):
+        sub = tab[outer][inner]
+        assert isinstance(sub, census.ClassTable) and list(sub) == want[outer][inner], (outer, inner)
+        assert sub == want[outer][inner] and hash(sub) == hash(tuple(want[outer][inner])), (outer, inner)
+        assert sub[-1] == want[outer][inner][-1], (outer, inner)
+    for pool, top, rams in (([2, 3, 5, 7], 0, []), ([3, 5], 1, [()]), ([5, 7], 23, [()]), ([], 5, [()])):
+        fac = np.array([p - 1 for p in pool], dtype=np.int64)
+        walk = census._walk([fac], top)
+        assert walk.chosen == [], (pool, top)
+        tab = census._sorted_even_sets(fac, walk, census._spans([fac], walk, top))
+        assert len(tab) == len(rams) and [c.ram.finite_primes for c in tab] == rams, (pool, top)
+        assert tab == [AlgebraClass(RamSet(R)) for R in rams] and tab[-1:] == tab, (pool, top)
+
+
 def test_class_budget_is_checked_before_listing_the_pool(monkeypatch):
     """Past CLASS_BUDGET, pi_of_V raises having merged and listed only the walk's
     head of the pool, never the whole pool: counting reads its blocks as they are."""
@@ -1029,6 +1101,35 @@ def test_listing_scale_pin():
     keys = [(math.prod(p - 1 for p in c.ram.finite_primes), c.ram.finite_primes) for c in classes]
     assert all(a < b for a, b in zip(keys, keys[1:]))
     assert elapsed < 2.0, elapsed
+
+
+def test_listing_scale_pin_at_1e7():
+    """Trace 4 at V = 1e7: 1,403,587 classes, listed in under 1 s (0.13-0.14 s on a 2-core
+    x86 machine). The first 200 classes and a seeded sample of adjacent pairs ascend by
+    (prod(p - 1), primes). The call's traced peak is 41 MiB, most of it the sort's per-class
+    index and key arrays; a lexsort over padded index rows, as listings were once sorted,
+    peaked at 97 MiB. The bound of 60 MiB leaves 19 MiB above the peak."""
+    spec = spectrum_from_inputs(traces=[4])
+    t0 = time.perf_counter()
+    count, classes = pi_of_V(spec, 1e7)
+    elapsed = time.perf_counter() - t0
+    assert count == len(classes) == 1_403_587
+
+    def key(cls):
+        return math.prod(p - 1 for p in cls.ram.finite_primes), cls.ram.finite_primes
+
+    head = [key(c) for c in classes[:200]]
+    assert all(a < b for a, b in zip(head, head[1:]))
+    for i in random.Random(1403587).sample(range(count - 1), 2000):
+        assert key(classes[i]) < key(classes[i + 1]), i
+    assert elapsed < 1.0, elapsed
+    tracemalloc.start()
+    try:
+        assert pi_of_V(spec, 1e7)[0] == count
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60 * 2**20, peak
 
 
 def test_short_interval_monotone_in_window():
