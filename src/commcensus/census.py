@@ -307,9 +307,11 @@ def _inert_route(system: _System, lo: int, hi: int) -> tuple[int, list[int]]:
     """How to sieve [lo, hi] for the primes inert in every field of an infinite system.
 
     Those primes lie in the unit classes mod M = lcm(discs) at which every character is
-    -1: R = phi(M)/2**rank of them. Sieving only those progressions takes R passes per
-    M * 2**19 numbers; the plain sieve and a character filter take one pass per 2**19.
-    Route to whichever makes fewer passes, deciding before anything M long exists.
+    -1: R = phi(M)/2**rank of them. A pass costs its cells plus the base numbers up to
+    sqrt(hi) it walks, as SIEVE_BUDGET counts them: R passes of about span/M cells per
+    M * 2**19 numbers on the progressions, one of 2**19 cells per 2**19 on the plain sieve
+    and its character filter. Route to the plain sieve only when its work is smaller,
+    deciding before anything M long exists (trace 4's pool to 286,479: 47,746 cells mod 12).
     Returns (modulus, residues): (M, the inert classes), whose every sieved prime is
     inert, or (1, [0]), the plain route, whose primes _keep_inert filters. Before any
     sieving it raises SearchExhaustedError past SIEVE_BUDGET numbers, then the sieve's
@@ -322,7 +324,8 @@ def _inert_route(system: _System, lo: int, hi: int) -> tuple[int, list[int]]:
             f"sieving {span} numbers is past the budget of {SIEVE_BUDGET}", bound=SIEVE_BUDGET
         )
     _check_progressions(lo, hi, 1, (0,))
-    if math.isqrt(hi) > SIEVE_BUDGET:
+    base = math.isqrt(hi)
+    if base > SIEVE_BUDGET:
         raise SearchExhaustedError(
             f"sieving the base primes up to sqrt({hi}) is past the budget of {SIEVE_BUDGET}",
             bound=SIEVE_BUDGET,
@@ -332,8 +335,8 @@ def _inert_route(system: _System, lo: int, hi: int) -> tuple[int, list[int]]:
     for p in system.ramified:
         units = units // p * (p - 1)
     classes = units >> system.rank
-    passes = classes * -(-span // (modulus * _SEGMENT))
-    if passes > -(-span // _SEGMENT):
+    work = classes * (span // modulus + -(-span // (modulus * _SEGMENT)) * base)
+    if span + -(-span // _SEGMENT) * base < work:
         return 1, [0]
     return modulus, _keep_inert(np.arange(modulus), system.prime_discs).tolist()
 
@@ -516,8 +519,11 @@ def _sorted_even_sets(fac: np.ndarray, walk: _Walk, spans: np.ndarray) -> ClassT
 
     fac is the merge of the blocks walked (_merged); spans are the nodes' _spans at walk.top.
     The walk's chunks, expanded, give the node and the last index of every nonempty R,
-    ascending by R, so one stable sort by prod gives (prod, R). Equal coareas are common
+    ascending by R, so a stable sort by prod gives (prod, R). Equal coareas are common
     (trace 4 at V = 3e5: 22,966 of 47,793 classes share one), so the tie order matters.
+    When every key prod * 2**bits + i, i the position, lies below 2**62, the keys are distinct
+    and one unstable int64 sort gives that order; else (a finite count's Python ints, say) a
+    stable argsort of prod does, since Python-int keys would cost a finite count far more RAM.
     The sorted columns, the empty set first, are the table; no class is built here.
     """
     lengths = np.ones(len(walk.nodes), np.intp)
@@ -526,10 +532,20 @@ def _sorted_even_sets(fac: np.ndarray, walk: _Walk, spans: np.ndarray) -> ClassT
     node = np.repeat(walk.nodes, lengths)
     last = np.arange(len(node)) - np.repeat(np.cumsum(lengths) - lengths - walk.firsts, lengths)
     last = last.astype(index_type)
-    order = np.argsort(walk.prods[node] * fac[last], kind="stable")
+    bits = len(node).bit_length()
+    if walk.top >> (62 - bits):
+        order = np.argsort(walk.prods[node] * fac[last], kind="stable")
+    else:  # every listed prod is at most walk.top, so int64 holds it, also from object columns
+        order = np.repeat(walk.prods[walk.nodes], lengths).astype(np.int64, copy=False)
+        order *= fac[last].astype(np.int64, copy=False)  # take would copy last to intp first
+        order <<= bits
+        order |= np.arange(len(node))
+        order.sort()
+        order &= (1 << bits) - 1
     empty = int(walk.top >= 1)
     node = np.concatenate([np.full(empty, -1, node.dtype), node[order]])
     last = np.concatenate([np.full(empty, -1, index_type), last[order]])
+    del order  # before the primes' list is built
     return ClassTable((fac + 1).tolist(), walk.chosen, node, last)
 
 

@@ -462,6 +462,39 @@ def test_walk_yields_the_even_sets_in_lexicographic_order():
                 assert [c.ram.finite_primes for c in listed] == _brute_even_sets(pool, top), (pool, top, dtype)
 
 
+def test_listing_sorts_unique_int64_keys_or_stably_past_them(monkeypatch):
+    """The listing sorts keys prod * 2**bits + i, i the lexicographic position, when every
+    key fits below 2**62, walk.top < 2**(62 - bits); past that it sorts prod stably. On one
+    pool with ties of prod (1 * 12 = 2 * 6 = 12: {2, 13} and {3, 7}) whose 127 nonempty even
+    sets (bits = 7) all lie within both cutoffs, the largest factor puts the top product just
+    below 2**55: top = 2**55 - 1 takes the keys, top = 2**55 the stable sort, int64 and
+    object factors alike, and both give the brute-force (prod, R) table."""
+    small = [2, 3, 5, 7, 11, 13, 17]
+    big = (2**55 - 1) // math.prod(p - 1 for p in small) + 1
+    pool = small + [big]
+    stable = []
+    argsort = np.argsort
+
+    def spy(a, *args, **kwargs):
+        stable.append(kwargs.get("kind"))
+        return argsort(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "argsort", spy)
+    want = _brute_even_sets(pool, 2**55 - 1)
+    assert len(want) == 128 and 2**55 - 92160 < math.prod(p - 1 for p in pool) < 2**55
+    for dtype in (np.int64, object):
+        tabs = []
+        for top, sorts in ((2**55 - 1, []), (2**55, ["stable"])):
+            fac = np.array([p - 1 for p in pool], dtype=dtype)
+            walk = census._walk([fac], top)
+            stable.clear()
+            tabs.append(census._sorted_even_sets(fac, walk, census._spans([fac], walk, top)))
+            assert stable == sorts, (dtype, top)
+            assert [c.ram.finite_primes for c in tabs[-1]] == want, (dtype, top)
+        assert np.array_equal(tabs[0]._node, tabs[1]._node), dtype
+        assert np.array_equal(tabs[0]._last, tabs[1]._last), dtype
+
+
 def _check_block_counts(blocks, top: int, cutoffs: list[int], counts: list[int]) -> None:
     """The pool's blocks count as their merge does, and as counts says: one walk at top
     over the blocks equals one over the merge, and at each cutoff pi_pool summed over
@@ -478,9 +511,10 @@ def _check_block_counts(blocks, top: int, cutoffs: list[int], counts: list[int])
 @pytest.mark.parametrize(
     "traces, top, n_blocks",
     [
-        ((4,), 400_000, 2),  # the plain route: one sieved block, then the ramified one
+        ((1000,), 400_000, 2),  # the plain route: one sieved block, then the ramified one
         ((4, 5), 3_200_000, 7),  # one stretch of 84 * 2**19: six residue blocks
         ((4, 5), 44_100_000, 13),  # two stretches: top + 1 > 84 * 2**19 = 44,040,192
+        ((4,), 400_000, 3),  # two residue blocks mod 12
     ],
 )
 def test_block_counts_agree_with_the_merged_pool(traces, top, n_blocks):
@@ -545,26 +579,30 @@ def test_nonsplit_pool_past_table_bound():
         assert pool == oracles.nonsplit_scan([f.disc for f in fields], 10**4)
 
 
-def _sieve_moduli(monkeypatch) -> list[int]:
-    """Record the modulus of every sieve pass from here on, listed or counted."""
-    moduli = []
+def _sieve_passes(monkeypatch) -> tuple[list[int], list[int]]:
+    """Record the modulus and the cells of every sieve pass from here on, listed or counted."""
+    moduli, cells = [], []
     sieve_mask = arith._sieve_mask
 
     def counting(lo, hi, base, modulus=1, residue=0):
+        k_lo, mask = sieve_mask(lo, hi, base, modulus, residue)
         moduli.append(modulus)
-        return sieve_mask(lo, hi, base, modulus, residue)
+        cells.append(len(mask))
+        return k_lo, mask
 
     monkeypatch.setattr(arith, "_sieve_mask", counting)
-    return moduli
+    return moduli, cells
 
 
 @pytest.mark.parametrize(
     "traces, routes",
     [
-        ((4,), {10**4: 1, 10**6: 12}),
-        ((4, 5), {10**4: 1, 10**6: 1, 3_200_000: 84}),
-        ((3, 6), {10**4: 1, 10**6: 1}),
-        ((4, 5, 7), {10**4: 1, 10**6: 1}),
+        ((4,), {10**4: 12, 10**6: 12}),
+        ((4, 5), {10**4: 84, 10**6: 84, 3_200_000: 84}),
+        ((3, 6), {10**4: 40, 10**6: 40}),
+        ((4, 5, 7), {10**4: 420, 10**6: 420}),
+        ((1000,), {10**4: 1, 10**6: 1}),  # disc 999996: its inert classes outweigh the plain sieve
+        ((4, 1000), {10**4: 1, 10**6: 1}),
     ],
 )
 def test_nonsplit_pool_matches_scan_on_both_routes(monkeypatch, traces, routes):
@@ -575,7 +613,7 @@ def test_nonsplit_pool_matches_scan_on_both_routes(monkeypatch, traces, routes):
     """
     fields = spectrum_from_inputs(traces=list(traces)).fields()
     scan = oracles.nonsplit_scan([f.disc for f in fields], max(routes))
-    moduli = _sieve_moduli(monkeypatch)
+    moduli, _ = _sieve_passes(monkeypatch)
     for n, modulus in routes.items():
         moduli.clear()
         pool = census._merged(census._nonsplit_pool(census._system(fields), n))
@@ -593,7 +631,7 @@ def test_nonsplit_pool_of_finite_system(monkeypatch):
     M = 12000036 would take the plain sieve.
     """
     fields = tuple(field_from_d(d) for d in (2, 3, 6))
-    moduli = _sieve_moduli(monkeypatch)
+    moduli, _ = _sieve_passes(monkeypatch)
     pool = census._merged(census._nonsplit_pool(census._system(fields), 1_100_000)).tolist()
     assert pool == oracles.nonsplit_scan([8, 12, 24], 1_100_000) == list(nonsplit_primes(fields))
     assert moduli == []
@@ -710,7 +748,7 @@ def test_kronecker_only_for_a_two_adic_character(monkeypatch):
         calls.clear()
         assert census._merged(census._nonsplit_pool(system, pmax)).tolist() == oracles.nonsplit_scan([12], pmax)
         assert {a for a, _ in calls} == {-4} and len(calls) <= 8, pmax
-    moduli = _sieve_moduli(monkeypatch)
+    moduli, _ = _sieve_passes(monkeypatch)
     calls.clear()
     fields = spectrum_from_inputs(traces=[4, 5]).fields()
     census._nonsplit_pool(census._system(fields), 3_200_000)
@@ -1469,12 +1507,12 @@ def _inert_recount(discs, lo, hi) -> int:
 def test_chebotarev_recount_on_both_routes(monkeypatch):
     """(3,) sieves the 2 classes of inert primes mod 12; (3, 1000003) filters.
 
-    Q(sqrt 1000003) has discriminant 4000012, so its inert classes mod 12000036
-    outnumber the plain sieve's passes and are never listed; its character -1000003
-    is longer than a block, so Euler's criterion runs on the primes themselves, and
-    its ramified prime lies inside the range.
+    Q(sqrt 1000003) has discriminant 4000012, so its inert classes mod 12000036,
+    each a pass that walks the base, cost more than the plain sieve's cells and are
+    never listed; its character -1000003 is longer than a block, so Euler's criterion
+    runs on the primes themselves, and its ramified prime lies inside the range.
     """
-    moduli = _sieve_moduli(monkeypatch)
+    moduli, _ = _sieve_passes(monkeypatch)
     rep = verify_chebotarev_interval((field_from_d(3),), 1_500_000, 1_500_000)
     assert rep.actual == _inert_recount([12], 1_500_000, 3_000_000)
     assert moduli == [12, 12]
@@ -1491,7 +1529,7 @@ def test_chebotarev_sieve_passes_at_benchmark_inputs(monkeypatch):
     The plain sieve takes ceil(3e7 / 2**19) = 58 passes over every number.
     Each pass is counted off its mask: none is turned into primes.
     """
-    moduli = _sieve_moduli(monkeypatch)
+    moduli, _ = _sieve_passes(monkeypatch)
 
     def no_listing(*args):
         raise AssertionError("a counted pass was listed")
@@ -1500,6 +1538,35 @@ def test_chebotarev_sieve_passes_at_benchmark_inputs(monkeypatch):
     rep = verify_chebotarev_interval((field_from_d(3), field_from_d(17)), 10**9, 3 * 10**7)
     assert rep.actual == 361_774
     assert moduli == [204] * 16
+
+
+@pytest.mark.parametrize(
+    "fields, lo, hi, modulus, passes, cells",
+    [
+        # pi_census's pool, trace 4 at V = 3e5: 2 passes of 23,873 cells, not 286,478
+        (spectrum_from_inputs(traces=[4]).fields(), 2, 286_479, 12, 2, 47_746),
+        # traces 4, 5, 7 at V = 3.3e6: 12 passes of 7,503 cells, not 3,151,267
+        (spectrum_from_inputs(traces=[4, 5, 7]).fields(), 2, 3_151_268, 420, 12, 90_036),
+        # 96 passes of about 140 cells, each walking a base of 1,414, not two 2**19-cell passes
+        (tuple(map(field_from_d, (3, 17, 5, 7))), 10**6, 2 * 10**6, 7140, 96, 13_446),
+        (tuple(map(field_from_d, (3, 17, 5, 7, 11, 13))), 10**6, 2 * 10**6, 1, 2, 10**6 + 1),
+        (tuple(map(field_from_d, (3, 1_000_003))), 10**6, 2 * 10**6, 1, 2, 10**6 + 1),
+    ],
+    ids=["pi_census_pool", "traces_4_5_7", "radicands_3_17_5_7", "radicands_to_13", "radicands_3_1000003"],
+)
+def test_router_charges_cells_and_base_walks(monkeypatch, fields, lo, hi, modulus, passes, cells):
+    """_inert_route takes the plain sieve only when its cells plus one base walk per 2**19
+    numbers are fewer than the progressions' cells plus one base walk per pass. The cells
+    sieved and the count agree with the oracles: a pool from 2 with nonsplit_scan, a window
+    with a per-prime recount."""
+    discs = [f.disc for f in fields]
+    moduli, sieved = _sieve_passes(monkeypatch)
+    if lo == 2:
+        pool = census._merged(census._nonsplit_pool(census._system(fields), hi)).tolist()
+        assert pool == oracles.nonsplit_scan(discs, hi)
+    else:
+        assert verify_chebotarev_interval(fields, lo, hi - lo).actual == _inert_recount(discs, lo, hi)
+    assert moduli == [modulus] * passes and sum(sieved) == cells, sum(sieved)
 
 
 def test_chebotarev_rejections():
