@@ -130,6 +130,9 @@ def _system(fields) -> _System:
     fields = tuple(fields)
     if not fields:
         raise DomainError("need at least one field")
+    for i, fld in enumerate(fields):
+        if not isinstance(fld, QuadField):
+            raise DomainError(f"field {i} is not a QuadField: {fld!r}")
     if len(set(fields)) != len(fields):
         raise DomainError("fields must be pairwise distinct")
     pds = [prime_disc_vector(fld) for fld in fields]
@@ -233,13 +236,19 @@ class ClassTable(Sequence):
 
 @dataclass(frozen=True)
 class CensusReport:
-    """Complete census over a field system with finite nonsplit set."""
+    """Complete census over a field system with finite nonsplit set; classes is listed when read."""
 
     fields: tuple[QuadField, ...]
     verdict: FinitenessVerdict
     nonsplit: tuple[int, ...]
-    classes: ClassTable
     count_total: int
+
+    @functools.cached_property
+    def classes(self) -> ClassTable:
+        """The classes by coarea, off one walk at the cutoff prod(p - 1) past every coarea;
+        past CLASS_BUDGET classes the read raises SearchExhaustedError before any walk."""
+        factors = np.array(self.nonsplit, dtype=object) - 1
+        return _listing([factors], math.prod(factors), True)[1]
 
     @property
     def count_division(self) -> int:
@@ -257,13 +266,12 @@ def count_algebras(fields) -> CensusReport:
 
     The classes are the even subsets of the nonsplit prime set, so the total is 2**(m-1)
     for m >= 1 nonsplit primes (1 when m = 0: only the matrix algebra), and all but the
-    empty set are division algebras. It lists through pi_of_V's path at the cutoff prod(p - 1)
-    past every coarea, which refuses past CLASS_BUDGET classes before any walk.
+    empty set are division algebras. The count is that formula: no class is listed until
+    CensusReport.classes is read, through pi_of_V's path.
     """
     system = _system(fields)
     s0 = _finite(system)
-    _, classes = _listing(system, math.prod(p - 1 for p in s0))
-    return CensusReport(system.fields, _verdict(system), s0, classes, len(classes))
+    return CensusReport(system.fields, _verdict(system), s0, 2 ** max(len(s0) - 1, 0))
 
 
 def _character(q: int, ns: np.ndarray) -> np.ndarray:
@@ -556,13 +564,12 @@ def _check_class_budget(count: int) -> None:
         )
 
 
-def _listing(system: _System, top: int) -> tuple[int, ClassTable]:
+def _listing(blocks: list[np.ndarray], top: int, finite: bool) -> tuple[int, ClassTable]:
     """(count, ClassTable) of the even sets R with prod(R) <= top: one walk's spans count them,
     and past CLASS_BUDGET it raises before the pool is merged and listed. If a finite pool (one
     block) has its whole product within top, all its 2**(m-1) even sets are: that size is checked
     before the walk. A pool only partly within top is left to the walk's cap (_odd_nodes)."""
-    blocks = _ram_factors(system, top)
-    fits = system.finite and math.prod(blocks[0]) <= top
+    fits = finite and math.prod(blocks[0]) <= top
     whole = 2 ** max(len(blocks[0]) - 1, 0) if fits else 0  # 1 when m = 0
     _check_class_budget(whole)
     walk = _walk(blocks, top)
@@ -581,13 +588,14 @@ def pi_of_V(spec: SpectrumSpec | Sequence[QuadField], volume: float) -> tuple[in
     its fields alone. Works for both verdicts: with an infinite nonsplit set the prime pool is
     cut off below 1 + 3V/pi, which no admissible ramified prime can reach. Returns the count and
     a ClassTable of the classes by coarea, each built when it is read, off one walk, as in
-    count_algebras. Past CLASS_BUDGET it raises SearchExhaustedError: before the walk if all of a
-    finite census lies below `volume`, else once the walk holds more odd sets than the budget.
+    CensusReport.classes. Past CLASS_BUDGET it raises SearchExhaustedError: before the walk if all
+    of a finite census lies below `volume`, else once the walk holds more odd sets than the budget.
     """
     if not 0 < volume < math.inf:  # exact for an int or a Fraction past the float range too
         raise DomainError(f"volume bound must be finite and positive, got {volume}")
-    fields = spec.fields() if isinstance(spec, SpectrumSpec) else spec
-    return _listing(_system(fields), _cutoff(volume))
+    system = _system(spec.fields() if isinstance(spec, SpectrumSpec) else spec)
+    top = _cutoff(volume)
+    return _listing(_ram_factors(system, top), top, system.finite)
 
 
 @dataclass(frozen=True)
@@ -710,7 +718,7 @@ def construct_family(n: int, search_bound: int = FAMILY_SEARCH_BOUND) -> FamilyR
         )
     fields = (l1, l2, l3, l4)
     census = count_algebras(fields)
-    if census.eventual_pi != 2**n or set(census.nonsplit) != set(rest):
+    if census.nonsplit != tuple(rest):  # so its count is 2**(m - 2) = 2**n
         raise RuntimeError(
             f"family construction for n={n} produced census {census.nonsplit} "
             f"with count {census.count_total}"

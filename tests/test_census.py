@@ -191,6 +191,22 @@ def test_field_system_validation():
                 entry(fields)
 
 
+@pytest.mark.parametrize(
+    "call, index",
+    [
+        (lambda: count_algebras([3]), 0),
+        (lambda: nonsplit_primes([3]), 0),
+        (lambda: nonsplit_is_finite("ab"), 0),
+        (lambda: verify_chebotarev_interval([field_from_d(3), 17], 1000, 10), 1),
+        (lambda: pi_of_V([[3]], 1e3), 0),  # unhashable: refused before the duplicate check
+    ],
+    ids=["count_algebras", "nonsplit_primes", "nonsplit_is_finite", "chebotarev", "pi_of_V"],
+)
+def test_an_entry_that_is_no_field_is_a_domain_error(call, index):
+    with pytest.raises(DomainError, match=f"field {index} is not a QuadField"):
+        call()
+
+
 def test_pi_of_v_matched_example():
     spec = spectrum_from_inputs(radicands=[3, 17, 51])
     assert pi_of_V(spec, 40.0)[0] == 2
@@ -838,7 +854,8 @@ def _gf2_calls(monkeypatch) -> list[str]:
 
 
 def test_each_census_call_derives_the_fields_once(monkeypatch):
-    """One factorization per field disc and one left kernel per public call.
+    """One factorization per field disc and one left kernel per public call, also across
+    count_algebras and the read of its classes.
 
     Only the sign witness of an infinite verdict adds a gf2.solve.
     """
@@ -850,6 +867,7 @@ def test_each_census_call_derives_the_fields_once(monkeypatch):
         (spec45.fields(), lambda: short_interval_delta(spec45, 1e5, 1e4), []),
         (pair, lambda: verify_chebotarev_interval(pair, 10**4, 10**3), []),
         (TRIPLE, lambda: count_algebras(TRIPLE), []),
+        (TRIPLE, lambda: count_algebras(TRIPLE).classes, []),
         (TRIPLE, lambda: nonsplit_primes(TRIPLE), []),
         (TRIPLE, lambda: nonsplit_is_finite(TRIPLE), []),
         (pair, lambda: nonsplit_is_finite(pair), ["solve"]),
@@ -902,7 +920,7 @@ def test_census_restores_the_collector_state(monkeypatch, enabled):
     collection finds nothing left behind."""
     spec = spectrum_from_inputs(traces=[4])
     fields = construct_family(6).fields
-    calls = [lambda: pi_of_V(spec, 1e5), lambda: count_algebras(fields)]
+    calls = [lambda: pi_of_V(spec, 1e5), lambda: count_algebras(fields).classes]
     was_enabled = gc.isenabled()
     (gc.enable if enabled else gc.disable)()
     try:
@@ -937,20 +955,25 @@ def test_census_with_ram_set_rebound_to_a_wrapper(monkeypatch):
 
 def test_class_budget_is_checked_before_building(monkeypatch):
     """A listing of exactly CLASS_BUDGET classes is built; one more class raises
-    SearchExhaustedError, carrying the budget, before the class table is built."""
+    SearchExhaustedError, carrying the budget, before the class table is built: from
+    pi_of_V, and from the read of a census's classes."""
     spec = spectrum_from_inputs(traces=[4])
     count = pi_of_V(spec, 1e4)[0]
     # trace 4 at V = 1e7 (test_short_interval_scale_pin) still lists
     assert census.CLASS_BUDGET >= 1_403_587
     monkeypatch.setattr(census, "CLASS_BUDGET", count)
     assert pi_of_V(spec, 1e4)[0] == count
-    assert count_algebras(TRIPLE).count_total == 2
+    report = count_algebras(TRIPLE)
+    assert report.count_total == len(report.classes) == 2
 
     def build_fails(fac, walk, spans):
         raise AssertionError("built the class table past the budget")
 
     monkeypatch.setattr(census, "_sorted_even_sets", build_fails)
-    for budget, call in ((count - 1, lambda: pi_of_V(spec, 1e4)), (1, lambda: count_algebras(TRIPLE))):
+    for budget, call in (
+        (count - 1, lambda: pi_of_V(spec, 1e4)),
+        (1, lambda: count_algebras(TRIPLE).classes),
+    ):
         monkeypatch.setattr(census, "CLASS_BUDGET", budget)
         with pytest.raises(SearchExhaustedError) as info:
             call()
@@ -1238,8 +1261,8 @@ def test_density_floor_past_the_float_range():
 
 def test_each_census_call_walks_once(monkeypatch):
     """pi_of_V counts and lists off one walk, short_interval_delta counts both
-    cutoffs off one, and count_algebras lists off one. Past CLASS_BUDGET, pi_of_V
-    raises after its one walk and count_algebras before any."""
+    cutoffs off one, count_algebras walks none, and the read of its classes lists off
+    one. Past CLASS_BUDGET, pi_of_V raises after its one walk and that read before any."""
     spec, fields = spectrum_from_inputs(traces=[4]), construct_family(6).fields
     odd_nodes, walks = census._odd_nodes, []
 
@@ -1252,14 +1275,16 @@ def test_each_census_call_walks_once(monkeypatch):
         "pi_of_V": lambda: pi_of_V(spec, 1e5),
         "pi_of_V, finite": lambda: pi_of_V(spectrum_from_inputs(radicands=[3, 17, 51]), 40),
         "short_interval_delta": lambda: short_interval_delta(spec, 1e5, 1e4),
-        "count_algebras": lambda: count_algebras(fields),
+        "count_algebras(...).classes": lambda: count_algebras(fields).classes,
     }
     for name, call in calls.items():
         walks.clear()
         call()
         assert len(walks) == 1, name
+    walks.clear()
+    assert count_algebras(fields).count_total == 2**6 and walks == []
     monkeypatch.setattr(census, "CLASS_BUDGET", 2**6 - 1)
-    for name, want in (("pi_of_V", 1), ("count_algebras", 0)):
+    for name, want in (("pi_of_V", 1), ("count_algebras(...).classes", 0)):
         walks.clear()
         with pytest.raises(SearchExhaustedError):
             calls[name]()
@@ -1321,6 +1346,28 @@ def test_a_census_within_the_cutoff_is_sized_before_the_walk(monkeypatch):
     with pytest.raises(SearchExhaustedError) as info:
         pi_of_V(spec, 705728)
     assert info.value.bound == 63
+
+
+def test_a_census_counts_its_classes_without_a_walk(monkeypatch):
+    """The three fields construct_family starts from for 22 primes = 1 mod 8 (the CLI's
+    budget-edge count) leave 22 primes nonsplit: 2**21 classes, counted with no walk. With a
+    budget one below that, reading the classes raises, carrying the budget, before any walk."""
+    fields = [field_from_d(d) for d in (
+        17,
+        5477515634891640089472354623302834444220760056144560553,
+        322206802052449417027785566076637320248280003302621209,
+    )]
+
+    def no_walk(fac, top):
+        raise AssertionError("walked a census it only counts")
+
+    monkeypatch.setattr(census, "_odd_nodes", no_walk)
+    report = count_algebras(fields)
+    assert len(report.nonsplit) == 22 and report.count_total == 2**21
+    monkeypatch.setattr(census, "CLASS_BUDGET", 2**21 - 1)
+    with pytest.raises(SearchExhaustedError) as info:
+        report.classes
+    assert info.value.bound == 2**21 - 1
 
 
 def test_construct_family_scans_its_primes_as_it_reads_them():

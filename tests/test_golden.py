@@ -50,6 +50,8 @@ CASES = {
     "count_infinite": (["count", "--radicands", "3,1201", "--traces", "4"], None),
     "pi_infinite_truncated": (["pi", "--traces", "4", "--volume", "1e5"], None),
     "family_n0": (["family", "--n", "0"], None),
+    # 2**22 classes, past CLASS_BUDGET: a family's count lists none
+    "family_n22": (["family", "--n", "22", "--search-bound", "4000000"], None),
     "spectra_radicand_1321": (["spectra", "--radicands", "1321"], None),
     # one case per error type, exit 2 or 3, and an argparse usage error
     "count_square_radicand": (["count", "--radicands", "3,4"], None),
